@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -51,7 +50,6 @@ func main() {
 		appsFlag     = flag.String("apps", "", "comma-separated application subset")
 		missRates    = flag.Bool("missrates", false, "baseline-only miss-rate calibration (Table 4)")
 		jobs         = flag.Int("j", 0, "simulations to run in parallel (0 = all CPUs, 1 = serial)")
-		shards       = flag.Int("shards", 1, "event-loop shards within each simulation (0 = one per CPU; output is byte-identical at any value)")
 
 		bench           = flag.Bool("bench", false, "run the benchmark-regression suite instead of experiments")
 		benchFilter     = flag.String("bench-filter", "", "restrict -bench to benchmarks whose name contains this")
@@ -77,10 +75,7 @@ func main() {
 		os.Exit(code)
 	}
 
-	o := revive.Options{Scale: *scale, Quick: *quick, Parallelism: *jobs, Shards: *shards}
-	if *shards == 0 {
-		o.Shards = runtime.NumCPU()
-	}
+	o := revive.Options{Scale: *scale, Quick: *quick, Parallelism: *jobs}
 	if err := revive.ValidateStrategy(*strategy); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		stopProfiles()

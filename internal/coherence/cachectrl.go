@@ -44,7 +44,7 @@ type sbEntry struct {
 // (inclusive, write-back), the store buffer, outstanding-miss bookkeeping,
 // and the cache half of the coherence protocol.
 type CacheCtrl struct {
-	ctx     *sim.Ctx
+	engine  *sim.Engine
 	node    arch.NodeID
 	l1, l2  *cache.Cache
 	bus     *sim.Resource
@@ -89,15 +89,12 @@ type CacheCtrl struct {
 	Fills uint64
 }
 
-// NewCacheCtrl builds one node's cache controller. ctx is the node's
-// scheduling context: every event the controller schedules belongs to the
-// node's shard.
-func NewCacheCtrl(ctx *sim.Ctx, node arch.NodeID, l1Cfg, l2Cfg cache.Config,
+// NewCacheCtrl builds one node's cache controller.
+func NewCacheCtrl(engine *sim.Engine, node arch.NodeID, l1Cfg, l2Cfg cache.Config,
 	busCfg BusConfig, net network.Fabric, amap *arch.AddressMap,
 	st *stats.Stats, tracker *Tracker) *CacheCtrl {
-	engine := ctx.Engine()
 	c := &CacheCtrl{
-		ctx: ctx, node: node,
+		engine: engine, node: node,
 		l1: cache.New(engine, l1Cfg), l2: cache.New(engine, l2Cfg),
 		bus: sim.NewResource(engine), busCfg: busCfg,
 		net: net, amap: amap, st: st, tracker: tracker,
@@ -179,7 +176,7 @@ func (c *CacheCtrl) sendToDir(dst arch.NodeID, bytes int, class stats.Class,
 	start := c.bus.ReserveAt(earliest, c.busCfg.Occupancy(bytes))
 	op := c.getSendOp()
 	op.msg = network.Message{Src: c.node, Dst: dst, Bytes: bytes, Class: class, Deliver: fn}
-	c.ctx.At(start+c.busCfg.Occupancy(bytes), op.fireFn)
+	c.engine.At(start+c.busCfg.Occupancy(bytes), op.fireFn)
 }
 
 // --- processor interface ---
@@ -197,7 +194,7 @@ func (c *CacheCtrl) loadAttempt(line arch.LineAddr, done func()) {
 	t1 := c.l1.Access()
 	if c.l1.Lookup(line) != nil {
 		c.st.L1Hits++
-		c.ctx.At(t1, done)
+		c.engine.At(t1, done)
 		return
 	}
 	c.st.L1Misses++
@@ -205,7 +202,7 @@ func (c *CacheCtrl) loadAttempt(line arch.LineAddr, done func()) {
 	if l2l := c.l2.Lookup(line); l2l != nil {
 		c.st.L2Hits++
 		c.fillL1From(l2l)
-		c.ctx.At(t2, done)
+		c.engine.At(t2, done)
 		return
 	}
 	c.st.L2Misses++
@@ -233,7 +230,7 @@ func (c *CacheCtrl) Store(addr arch.Addr, val uint64, done func()) {
 	// plain scheduled events with no MSHR of its own, so without this the
 	// tracker can read zero — and a checkpoint begin its flush — while
 	// retirements are still pending (stale data reaches memory).
-	c.tracker.IncFrom(c.ctx)
+	c.tracker.Inc()
 	c.drain()
 	done()
 }
@@ -286,12 +283,12 @@ func (c *CacheCtrl) drainHead() {
 	// Writable: retire the store.
 	c.applyStore(l1l, e)
 	c.sbPop()
-	c.tracker.DecFrom(c.ctx)
+	c.tracker.Dec()
 	if c.sbStalled {
 		c.sbStalled = false
 		c.retryStalled()
 	}
-	c.ctx.At(t1, c.drainHeadFn)
+	c.engine.At(t1, c.drainHeadFn)
 	c.draining = true
 }
 
@@ -327,7 +324,7 @@ func (c *CacheCtrl) request(line arch.LineAddr, kind reqKind, earliest sim.Time,
 		return
 	}
 	m.add(loadDone, retry)
-	c.tracker.IncFrom(c.ctx)
+	c.tracker.Inc()
 	c.st.Trace.AsyncBegin(trace.MissService, int(c.node), uint64(line))
 	homeNode := c.home(line)
 	dir := c.dirs[homeNode]
@@ -389,12 +386,12 @@ func (c *CacheCtrl) completeRequest(line arch.LineAddr, at sim.Time) {
 	}
 	delete(c.pending, line)
 	c.st.Trace.AsyncEnd(trace.MissService, int(c.node), uint64(line))
-	c.tracker.DecFrom(c.ctx)
+	c.tracker.Dec()
 	for _, w := range m.loadDone {
-		c.ctx.At(at, w)
+		c.engine.At(at, w)
 	}
 	for _, r := range m.retries {
-		c.ctx.At(at, r)
+		c.engine.At(at, r)
 	}
 	c.putMSHR(m)
 }
@@ -420,7 +417,7 @@ func (c *CacheCtrl) retireHeadStoreIfReady(line arch.LineAddr) {
 	}
 	c.applyStore(l1l, c.sb[c.sbHead])
 	c.sbPop()
-	c.tracker.DecFrom(c.ctx)
+	c.tracker.Dec()
 	if c.sbStalled {
 		c.sbStalled = false
 		c.retryStalled()
@@ -493,14 +490,14 @@ func (c *CacheCtrl) insertL2(line arch.LineAddr, st cache.State, data arch.Data)
 	case cache.Exclusive:
 		// Clean-exclusive replacement hint, so the home never forwards
 		// an intervention to a copy that is gone.
-		c.tracker.IncFrom(c.ctx)
+		c.tracker.Inc()
 		homeNode := c.home(victim.Addr)
 		dir := c.dirs[homeNode]
 		self := c.node
 		addr := victim.Addr
-		c.sendToDir(homeNode, network.ControlBytes, stats.ClassRead, c.ctx.Now(), func() {
+		c.sendToDir(homeNode, network.ControlBytes, stats.ClassRead, c.engine.Now(), func() {
 			dir.Repl(self, addr)
-			dir.tracker.DecFrom(dir.ctx) // hint consumed; no acknowledgment
+			dir.tracker.Dec() // hint consumed; no acknowledgment
 		})
 	case cache.Shared:
 		// Silent: the directory tolerates stale sharers.
@@ -510,11 +507,11 @@ func (c *CacheCtrl) insertL2(line arch.LineAddr, st cache.State, data arch.Data)
 // writeBack sends a dirty line to its home. keep=true retains a clean
 // exclusive copy (checkpoint flush).
 func (c *CacheCtrl) writeBack(line arch.LineAddr, data arch.Data, ckp, keep bool) {
-	c.tracker.IncFrom(c.ctx)
+	c.tracker.Inc()
 	homeNode := c.home(line)
 	dir := c.dirs[homeNode]
 	self := c.node
-	c.sendToDir(homeNode, network.DataBytes, wbClass(ckp), c.ctx.Now(), func() {
+	c.sendToDir(homeNode, network.DataBytes, wbClass(ckp), c.engine.Now(), func() {
 		dir.WB(self, line, data, ckp, keep)
 	})
 }
@@ -548,11 +545,11 @@ func (c *CacheCtrl) wbAck(line arch.LineAddr) {
 			l1l.State = cache.Exclusive
 		}
 		c.flushInflight--
-		c.tracker.DecFrom(c.ctx)
+		c.tracker.Dec()
 		c.flushIssue()
 		return
 	}
-	c.tracker.DecFrom(c.ctx)
+	c.tracker.Dec()
 }
 
 // probe answers an intervention from the home: inv=false downgrades to
@@ -630,7 +627,7 @@ func (c *CacheCtrl) FlushDirty(done func()) {
 		panic("coherence: flush with buffered stores")
 	}
 	// Fold dirty L1 lines into L2 first, paying one L1+L2 access each.
-	t := c.ctx.Now()
+	t := c.engine.Now()
 	for _, l1l := range c.l1.DirtyLines() {
 		c.mergeDirtyL1(l1l)
 		if p := c.l1.Probe(l1l.Addr); p != nil {
@@ -643,7 +640,7 @@ func (c *CacheCtrl) FlushDirty(done func()) {
 		c.flushQueue = append(c.flushQueue, l2l.Addr)
 	}
 	c.flushDone = done
-	c.ctx.At(t, c.flushIssue)
+	c.engine.At(t, c.flushIssue)
 }
 
 // flushWindow bounds the write-backs a node keeps in flight during a flush
@@ -672,16 +669,14 @@ func (c *CacheCtrl) flushIssue() {
 		}
 		c.flushing[line] = true
 		c.flushInflight++
-		c.tracker.IncFrom(c.ctx)
+		c.tracker.Inc()
 		c.l2.Access() // enumeration/tag access
 		c.writeBackFlush(line, data)
 	}
 	if c.flushInflight == 0 && len(c.flushQueue) == 0 {
 		done := c.flushDone
 		c.flushDone = nil
-		// done is the checkpoint manager's flush acknowledgment — global
-		// state, so it must not run inside a parallel round.
-		c.ctx.Defer(done)
+		done()
 	}
 }
 
@@ -689,7 +684,7 @@ func (c *CacheCtrl) writeBackFlush(line arch.LineAddr, data arch.Data) {
 	homeNode := c.home(line)
 	dir := c.dirs[homeNode]
 	self := c.node
-	c.sendToDir(homeNode, network.DataBytes, stats.ClassCkpWB, c.ctx.Now(), func() {
+	c.sendToDir(homeNode, network.DataBytes, stats.ClassCkpWB, c.engine.Now(), func() {
 		dir.WB(self, line, data, true, true)
 	})
 }

@@ -96,7 +96,7 @@ type dirEntry struct {
 // completions. This keeps state transitions atomic in arrival order, which
 // is what the real controller's serialization guarantees.
 type DirCtrl struct {
-	ctx     *sim.Ctx
+	engine  *sim.Engine
 	node    arch.NodeID
 	cfg     DirConfig
 	mem     *mem.Memory
@@ -118,12 +118,12 @@ type DirCtrl struct {
 
 // NewDirCtrl builds the home controller for one node. Wire the cache
 // controllers afterwards with SetCaches.
-func NewDirCtrl(ctx *sim.Ctx, node arch.NodeID, cfg DirConfig, m *mem.Memory,
+func NewDirCtrl(engine *sim.Engine, node arch.NodeID, cfg DirConfig, m *mem.Memory,
 	net network.Fabric, amap *arch.AddressMap, st *stats.Stats, tracker *Tracker) *DirCtrl {
 	return &DirCtrl{
-		ctx: ctx, node: node, cfg: cfg, mem: m, net: net, amap: amap,
+		engine: engine, node: node, cfg: cfg, mem: m, net: net, amap: amap,
 		st: st, tracker: tracker,
-		pipe:    sim.NewResource(ctx.Engine()),
+		pipe:    sim.NewResource(engine),
 		entries: make(map[arch.LineAddr]*dirEntry),
 	}
 }
@@ -173,7 +173,7 @@ func (d *DirCtrl) dispatch(line arch.LineAddr, pr pendingReq) {
 		return
 	}
 	e.busy = true
-	d.tracker.IncFrom(d.ctx)
+	d.tracker.Inc()
 	d.run(line, pr)
 }
 
@@ -203,12 +203,12 @@ func (d *DirCtrl) release(line arch.LineAddr) {
 		panic("coherence: release with pending continuations")
 	}
 	e.busy = false
-	d.tracker.DecFrom(d.ctx)
+	d.tracker.Dec()
 	if len(e.waiting) > 0 {
 		next := e.waiting[0]
 		e.waiting = e.waiting[1:]
 		e.busy = true
-		d.tracker.IncFrom(d.ctx)
+		d.tracker.Inc()
 		d.run(line, next)
 	}
 }
@@ -244,21 +244,21 @@ func (d *DirCtrl) feedOwnerWait(line arch.LineAddr, od ownerData) {
 
 // GETS handles a read miss request from node req.
 func (d *DirCtrl) GETS(req arch.NodeID, line arch.LineAddr) {
-	d.ctx.At(d.Occupy(), func() {
+	d.engine.At(d.Occupy(), func() {
 		d.dispatch(line, pendingReq{kind: reqGETS, req: req})
 	})
 }
 
 // GETX handles a read-exclusive (write miss) request from node req.
 func (d *DirCtrl) GETX(req arch.NodeID, line arch.LineAddr) {
-	d.ctx.At(d.Occupy(), func() {
+	d.engine.At(d.Occupy(), func() {
 		d.dispatch(line, pendingReq{kind: reqGETX, req: req})
 	})
 }
 
 // UPG handles an upgrade (write hit on a shared line) request.
 func (d *DirCtrl) UPG(req arch.NodeID, line arch.LineAddr) {
-	d.ctx.At(d.Occupy(), func() {
+	d.engine.At(d.Occupy(), func() {
 		d.dispatch(line, pendingReq{kind: reqUPG, req: req})
 	})
 }
@@ -267,7 +267,7 @@ func (d *DirCtrl) UPG(req arch.NodeID, line arch.LineAddr) {
 // line up); keep=true is a checkpoint-flush write-back where the owner
 // retains a clean exclusive copy. ckp marks checkpoint traffic.
 func (d *DirCtrl) WB(req arch.NodeID, line arch.LineAddr, data arch.Data, ckp, keep bool) {
-	d.ctx.At(d.Occupy(), func() { d.wbArrived(req, line, data, ckp, keep) })
+	d.engine.At(d.Occupy(), func() { d.wbArrived(req, line, data, ckp, keep) })
 }
 
 func (d *DirCtrl) wbArrived(req arch.NodeID, line arch.LineAddr, data arch.Data, ckp, keep bool) {
@@ -285,7 +285,7 @@ func (d *DirCtrl) wbArrived(req arch.NodeID, line arch.LineAddr, data arch.Data,
 
 // Repl handles a clean-exclusive replacement hint.
 func (d *DirCtrl) Repl(req arch.NodeID, line arch.LineAddr) {
-	d.ctx.At(d.Occupy(), func() { d.replArrived(req, line) })
+	d.engine.At(d.Occupy(), func() { d.replArrived(req, line) })
 }
 
 func (d *DirCtrl) replArrived(req arch.NodeID, line arch.LineAddr) {
@@ -299,7 +299,7 @@ func (d *DirCtrl) replArrived(req arch.NodeID, line arch.LineAddr) {
 
 // fetchResp delivers an intervention answer to the waiting transaction.
 func (d *DirCtrl) fetchResp(from arch.NodeID, line arch.LineAddr, found, dirty bool, data arch.Data) {
-	d.ctx.At(d.Occupy(), func() { d.fetchRespArrived(from, line, found, dirty, data) })
+	d.engine.At(d.Occupy(), func() { d.fetchRespArrived(from, line, found, dirty, data) })
 }
 
 func (d *DirCtrl) fetchRespArrived(from arch.NodeID, line arch.LineAddr, found, dirty bool, data arch.Data) {
@@ -344,7 +344,7 @@ func (d *DirCtrl) fetchRespArrived(from arch.NodeID, line arch.LineAddr, found, 
 // invAck delivers one invalidation acknowledgment to the waiting
 // transaction.
 func (d *DirCtrl) invAck(line arch.LineAddr) {
-	d.ctx.At(d.Occupy(), func() { d.invAckArrived(line) })
+	d.engine.At(d.Occupy(), func() { d.invAckArrived(line) })
 }
 
 func (d *DirCtrl) invAckArrived(line arch.LineAddr) {

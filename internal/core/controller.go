@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"revive/internal/arch"
 	"revive/internal/coherence"
@@ -80,7 +79,7 @@ type EventCounts struct {
 // implements coherence.Extension for lines homed at its node, and handles
 // incoming parity updates for parity pages it hosts.
 type Controller struct {
-	ctx     *sim.Ctx
+	engine  *sim.Engine
 	node    arch.NodeID
 	topo    arch.Topology
 	amap    *arch.AddressMap
@@ -107,16 +106,7 @@ type Controller struct {
 	// down; after a fail-stop error, recovery Phase 1 settles whatever
 	// remains (ReconcileParity). XOR accumulation makes the ledger
 	// order-independent.
-	//
-	// debtMu covers the sharded-execution cross-node access: payDebt runs
-	// at the parity line's home node — under sim.EnableSharding possibly a
-	// different shard than this controller's accrue. Because XOR
-	// accumulation commutes and the ledger is only *read* from serial
-	// contexts (recovery, end-of-run checks), interleaving accrue/payDebt
-	// in either order yields the same ledger — so a lock (rather than a
-	// canonical-order replay) preserves byte-identical results.
-	debtMu sync.Mutex
-	debt   map[arch.PhysLine]arch.Data
+	debt map[arch.PhysLine]arch.Data
 	// reconScratch is ReconcileParity's reusable target-sorting buffer;
 	// puFree is the free list backing parity-update registrations. Both
 	// keep the steady-state event loop allocation-free (single-threaded
@@ -151,13 +141,12 @@ type Controller struct {
 	Events EventCounts
 }
 
-// NewController builds the ReVive extension for one node. ctx is the
-// node's scheduling context.
-func NewController(ctx *sim.Ctx, node arch.NodeID, topo arch.Topology,
+// NewController builds the ReVive extension for one node.
+func NewController(engine *sim.Engine, node arch.NodeID, topo arch.Topology,
 	amap *arch.AddressMap, dirs []*coherence.DirCtrl, net network.Fabric,
 	st *stats.Stats, tracker *coherence.Tracker) *Controller {
 	return &Controller{
-		ctx: ctx, node: node, topo: topo, amap: amap, dirs: dirs, net: net,
+		engine: engine, node: node, topo: topo, amap: amap, dirs: dirs, net: net,
 		st: st, tracker: tracker,
 		strategy: reviveStrategy{},
 		log:      NewHWLog(node, amap, dirs[node].Mem()),
@@ -356,15 +345,10 @@ func (c *Controller) appendLog(line arch.LineAddr, old arch.Data, done func()) {
 // writeCkptMarker appends the checkpoint-commit marker entry for epoch
 // (phase two of the two-phase commit, section 4.2), then runs done.
 func (c *Controller) writeCkptMarker(epoch uint64, done func()) {
-	// done counts down the checkpoint manager's global commit barrier —
-	// cross-shard state — but the parity acknowledgment that completes the
-	// marker write is an event of this node's shard, so the callback must
-	// go through Defer to reach the barrier in serial context.
-	ack := func() { c.ctx.Defer(done) }
 	if !c.topo.HasDataFrames(c.node) {
 		// A dedicated parity node homes no data, so its log is empty
 		// and needs no commit marker.
-		ack()
+		done()
 		return
 	}
 	c.st.Trace.Instant(trace.CkptMarker, int(c.node), epoch)
@@ -383,7 +367,7 @@ func (c *Controller) writeCkptMarker(epoch uint64, done func()) {
 			delta:  delta,
 			step:   StepLogMarkerParityApplied,
 			line:   0,
-		}, ack)
+		}, done)
 	})
 }
 
@@ -423,10 +407,6 @@ type parityUpdate struct {
 // phys, at the instant the memory content changes.
 func (c *Controller) accrue(phys arch.PhysLine, old, new arch.Data) {
 	target := c.topo.ParityOf(phys)
-	if c.ctx.Sharded() {
-		c.debtMu.Lock()
-		defer c.debtMu.Unlock()
-	}
 	d := c.debt[target]
 	d.XOR(&old)
 	d.XOR(&new)
@@ -440,10 +420,6 @@ func (c *Controller) accrue(phys arch.PhysLine, old, new arch.Data) {
 // payDebt cancels delta from the ledger once the remote parity application
 // has happened.
 func (c *Controller) payDebt(target arch.PhysLine, delta arch.Data) {
-	if c.ctx.Sharded() {
-		c.debtMu.Lock()
-		defer c.debtMu.Unlock()
-	}
 	d := c.debt[target]
 	d.XOR(&delta)
 	if d.IsZero() {
@@ -537,7 +513,7 @@ func (c *Controller) putUpdate(p *parityUpdate) {
 // done when the acknowledgment returns (Figure 4's messages 3 and 4). The
 // caller's directory entry stays busy for the duration.
 func (c *Controller) sendParity(u parityUpdate, done func()) {
-	c.tracker.IncFrom(c.ctx)
+	c.tracker.Inc()
 	c.st.Trace.AsyncBegin(trace.ParityUpdate, int(c.node), uint64(u.line))
 	p := c.getUpdate()
 	*p = u
@@ -552,7 +528,7 @@ func (c *Controller) sendParity(u parityUpdate, done func()) {
 					Class: stats.ClassParity,
 					Deliver: func() {
 						c.st.Trace.AsyncEnd(trace.ParityUpdate, int(self), uint64(p.line))
-						c.tracker.DecFrom(c.ctx)
+						c.tracker.Dec()
 						c.putUpdate(p)
 						done()
 					},
@@ -606,7 +582,7 @@ func (c *Controller) handleParityUpdate(u *parityUpdate, ackSend func()) {
 				finish()
 			})
 	}
-	c.ctx.At(c.dirs[c.node].Occupy(), apply)
+	c.engine.At(c.dirs[c.node].Occupy(), apply)
 }
 
 // applyDelta folds a piggybacked (uncharged) line update into memory.

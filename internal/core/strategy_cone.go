@@ -76,12 +76,12 @@ func (s *coneStrategy) PlanRecovery(victims []arch.NodeID, targetEpoch uint64, n
 // coneTracker is the machine-global write-dependence ledger behind the
 // conelog strategy. It implements coherence.FlowObserver.
 //
-// Determinism: the observer methods run from home-node event contexts —
-// under sharded execution, concurrently for different shards — so every
-// access is mutex-guarded, and all recorded facts are set memberships
-// (unions commute), so the ledger's final content is independent of the
-// interleaving. It is only *read* (cone, restoreFilter) from the serial
-// recovery context.
+// Every access holds mu, so the ledger is safe to share across
+// goroutines; the simulator itself writes it from the event loop (the
+// observer methods) and reads it from recovery (cone, restoreFilter), so
+// the lock is never contended. All recorded facts are set memberships
+// (unions commute), so the ledger's content does not depend on the order
+// in which homes report their transactions.
 type coneTracker struct {
 	mu    sync.Mutex
 	epoch uint64

@@ -44,12 +44,12 @@ type Config struct {
 	// core.NewStrategy.
 	Strategy   string
 	Checkpoint core.CheckpointConfig
-	Proc            proc.Config
-	L1, L2          cache.Config
-	Mem             mem.Config
-	Net             network.Config
-	Dir             coherence.DirConfig
-	Bus             coherence.BusConfig
+	Proc       proc.Config
+	L1, L2     cache.Config
+	Mem        mem.Config
+	Net        network.Config
+	Dir        coherence.DirConfig
+	Bus        coherence.BusConfig
 
 	// DisableLBits / DisableEagerLog select the ablations of sections
 	// 4.1.2 and the acknowledgments (see DESIGN.md section 5).
@@ -59,14 +59,6 @@ type Config struct {
 	// Verify keeps a per-checkpoint functional snapshot of all memories
 	// and stream contexts so tests can check rollback byte-for-byte.
 	Verify bool
-
-	// Shards partitions the event engine into that many node groups for
-	// intra-run parallelism (see internal/sim ctx.go). Output is
-	// byte-identical at any shard count — 0 or 1 selects the plain serial
-	// engine; higher values trade barrier overhead for multi-core
-	// speedup on big machines. Capped at Nodes. Tracing (Trace non-nil)
-	// forces serial execution, as does attaching a fault plan.
-	Shards int
 
 	// Trace, if non-nil, records flight-recorder events from every layer
 	// of the machine (see internal/trace). Nil disables tracing at zero
@@ -136,14 +128,6 @@ type Machine struct {
 	Procs   []*proc.Proc
 	Ckpt    *core.CheckpointManager
 
-	// ctxs are the per-node scheduling contexts (node n belongs to shard
-	// n*shards/Nodes); shardStats are the per-shard Stats shadows that
-	// node components write from shard context, folded into Stats at
-	// serial points. Both are nil/trivial on a serial machine.
-	ctxs       []*sim.Ctx
-	shards     int
-	shardStats []*stats.Stats
-
 	// strategy is the machine-wide recovery-strategy backend instance
 	// shared by all controllers (nil on baseline machines).
 	strategy core.Strategy
@@ -182,28 +166,11 @@ func New(cfg Config) *Machine {
 		cfg.Net.DimX, cfg.Net.DimY = network.TorusShape(cfg.Nodes)
 	}
 	engine := sim.NewEngine()
-	shards := cfg.Shards
-	if shards > cfg.Nodes {
-		shards = cfg.Nodes
-	}
-	if shards > sim.MaxShards {
-		shards = sim.MaxShards
-	}
-	if shards < 1 || cfg.Trace != nil {
-		// Tracing timestamps every event in emission order; keep the
-		// engine serial so the flight recorder stays exact.
-		shards = 1
-	}
-	engine.EnableSharding(shards)
 	st := stats.New()
 	st.Trace = cfg.Trace
 	cfg.Trace.SetClock(engine)
 	tracker := &coherence.Tracker{}
-	tracker.Bind()
 	amap := arch.NewAddressMap(topo)
-	// Translation is the simulator's hottest path: the map locks only
-	// when concurrent workers can actually reach it.
-	amap.SetConcurrent(shards > 1)
 	net, err := network.New(engine, cfg.Net, st)
 	if err != nil {
 		panic(err)
@@ -215,18 +182,8 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		Cfg: cfg, Engine: engine, Stats: st, Tracker: tracker,
 		Topo: topo, AMap: amap, Net: net, Xport: xport,
-		shards:    shards,
 		snapshots: make(map[uint64]*Snapshot),
 		cpuLost:   make(map[arch.NodeID]bool),
-	}
-	for n := 0; n < cfg.Nodes; n++ {
-		m.ctxs = append(m.ctxs, engine.Context(n*shards/cfg.Nodes))
-	}
-	net.SetNodeCtxs(m.ctxs)
-	if shards > 1 {
-		for s := 0; s < shards; s++ {
-			m.shardStats = append(m.shardStats, stats.New())
-		}
 	}
 	xport.OnUnreachable = func(src, dst arch.NodeID) {
 		if m.OnUnreachable != nil {
@@ -234,12 +191,12 @@ func New(cfg Config) *Machine {
 		}
 	}
 	for n := 0; n < cfg.Nodes; n++ {
-		mm := mem.New(m.ctxs[n], cfg.Mem)
+		mm := mem.New(engine, cfg.Mem)
 		m.Mems = append(m.Mems, mm)
-		m.Dirs = append(m.Dirs, coherence.NewDirCtrl(m.ctxs[n], arch.NodeID(n), cfg.Dir,
-			mm, xport, amap, m.nodeStats(n), tracker))
-		m.Caches = append(m.Caches, coherence.NewCacheCtrl(m.ctxs[n], arch.NodeID(n),
-			cfg.L1, cfg.L2, cfg.Bus, xport, amap, m.nodeStats(n), tracker))
+		m.Dirs = append(m.Dirs, coherence.NewDirCtrl(engine, arch.NodeID(n), cfg.Dir,
+			mm, xport, amap, st, tracker))
+		m.Caches = append(m.Caches, coherence.NewCacheCtrl(engine, arch.NodeID(n),
+			cfg.L1, cfg.L2, cfg.Bus, xport, amap, st, tracker))
 	}
 	for n := 0; n < cfg.Nodes; n++ {
 		m.Dirs[n].SetCaches(m.Caches)
@@ -253,8 +210,8 @@ func New(cfg Config) *Machine {
 		m.strategy = strat
 		st.Strategy = strat.Name()
 		for n := 0; n < cfg.Nodes; n++ {
-			ctrl := core.NewController(m.ctxs[n], arch.NodeID(n), topo, amap,
-				m.Dirs, xport, m.nodeStats(n), tracker)
+			ctrl := core.NewController(engine, arch.NodeID(n), topo, amap,
+				m.Dirs, xport, st, tracker)
 			ctrl.SetStrategy(strat)
 			ctrl.DisableLBits = cfg.DisableLBits
 			ctrl.DisableEagerLog = cfg.DisableEagerLog
@@ -278,35 +235,10 @@ func New(cfg Config) *Machine {
 
 // SetFaultPlan attaches a fabric fault plan. Every controller already
 // sends through the reliable transport, which switches from passthrough to
-// framed/acknowledged mode the moment the plan is non-empty. Fault
-// injection also drops the engine back to serial execution: campaigns
-// single-step, freeze and reset the event queue in ways that assume the
-// one-event-at-a-time engine.
+// framed/acknowledged mode the moment the plan is non-empty.
 func (m *Machine) SetFaultPlan(p *network.FaultPlan) {
-	m.Engine.DisableSharding()
 	m.Net.SetPlan(p)
 }
-
-// nodeStats returns the Stats instance node n's components write: the
-// node's shard shadow on a sharded machine (folded into Stats at serial
-// points), the main Stats otherwise.
-func (m *Machine) nodeStats(n int) *stats.Stats {
-	if m.shardStats == nil {
-		return m.Stats
-	}
-	return m.shardStats[n*m.shards/m.Cfg.Nodes]
-}
-
-// foldStats folds the per-shard Stats shadows into the main Stats. Safe
-// to call only from serial context; idempotent between shard writes.
-func (m *Machine) foldStats() {
-	for _, ss := range m.shardStats {
-		m.Stats.FoldFrom(ss)
-	}
-}
-
-// Shards returns the effective shard count the machine runs with.
-func (m *Machine) Shards() int { return m.shards }
 
 // Load attaches a workload: one processor per node.
 func (m *Machine) Load(w workload.Workload) {
@@ -315,7 +247,7 @@ func (m *Machine) Load(w workload.Workload) {
 	}
 	streams := w.Streams(m.Cfg.Nodes)
 	for n := 0; n < m.Cfg.Nodes; n++ {
-		p := proc.New(m.ctxs[n], m.Cfg.Proc, n, m.Caches[n], streams[n], m.nodeStats(n))
+		p := proc.New(m.Engine, m.Cfg.Proc, n, m.Caches[n], streams[n], m.Stats)
 		p.OnFinish = m.procFinished
 		m.Procs = append(m.Procs, p)
 	}
@@ -344,9 +276,6 @@ func (m *Machine) procFinished() {
 // functional image) and prunes snapshots beyond the two-checkpoint
 // retention window.
 func (m *Machine) onCommit(epoch uint64) {
-	// Commit is a serial point: bring the per-shard counter shadows home
-	// before anything (snapshot, series sample, SSE hook) reads Stats.
-	m.foldStats()
 	snap := &Snapshot{Epoch: epoch, Time: m.Engine.Now()}
 	if m.Cfg.Verify {
 		for _, mm := range m.Mems {
@@ -418,8 +347,6 @@ func (m *Machine) SnapshotAt(epoch uint64) (*Snapshot, bool) {
 func (m *Machine) Run() *stats.Stats {
 	m.Start()
 	m.Engine.Run()
-	m.Engine.Shutdown()
-	m.foldStats()
 	if m.finished != len(m.Procs) {
 		panic(fmt.Sprintf("machine: deadlock — %d/%d processors finished, %d ops outstanding",
 			m.finished, len(m.Procs), m.Tracker.Outstanding()))
@@ -441,7 +368,6 @@ func (m *Machine) Run() *stats.Stats {
 // accumulated up to the stop are always returned.
 func (m *Machine) RunBudget(maxEvents uint64) (*stats.Stats, error) {
 	m.Start()
-	defer m.foldStats()
 	var n uint64
 	for m.Engine.Step() {
 		n++
@@ -467,7 +393,6 @@ func (m *Machine) RunBudget(maxEvents uint64) (*stats.Stats, error) {
 // interrupt a run midway).
 func (m *Machine) RunUntil(t sim.Time) {
 	m.Engine.RunUntil(t)
-	m.foldStats()
 }
 
 // Start launches processors and the checkpoint timer without running the

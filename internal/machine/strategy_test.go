@@ -1,11 +1,8 @@
 package machine
 
 import (
-	"encoding/json"
-	"reflect"
 	"testing"
 
-	"revive/internal/arch"
 	"revive/internal/core"
 	"revive/internal/sim"
 )
@@ -100,41 +97,6 @@ func TestStrategyConformanceNodeLoss(t *testing.T) {
 			}
 			if err := m.VerifyParity(); err != nil {
 				t.Fatalf("parity broken after resumed run: %v", err)
-			}
-		})
-	}
-}
-
-// TestStrategyShardIdentity extends the shard-determinism contract to
-// every backend: stats and the functional memory image must be
-// byte-identical at 1 and 4 event-loop shards.
-func TestStrategyShardIdentity(t *testing.T) {
-	run := func(name string, shards int) ([]byte, []map[uint64]arch.Data, uint64) {
-		cfg := smallConfig(true)
-		cfg.Strategy = name
-		cfg.Shards = shards
-		m := New(cfg)
-		m.Engine.SetParallelThreshold(2)
-		m.Load(testProfile(60000))
-		st := m.Run()
-		b, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b, m.MemImage(), m.Engine.ParallelRounds()
-	}
-	for _, name := range core.StrategyNames() {
-		t.Run(name, func(t *testing.T) {
-			want, wantImg, _ := run(name, 1)
-			got, img, rounds := run(name, 4)
-			if rounds == 0 {
-				t.Fatal("no parallel rounds ran; the test exercised nothing")
-			}
-			if string(got) != string(want) {
-				t.Errorf("shards=4 stats diverge from serial:\n%s\nvs\n%s", got, want)
-			}
-			if !reflect.DeepEqual(img, wantImg) {
-				t.Error("shards=4 final memory image diverges from serial")
 			}
 		})
 	}

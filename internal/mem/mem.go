@@ -46,12 +46,12 @@ type bank struct {
 // Memory is one node's DRAM module: timed access plus functional storage.
 // Addresses are node-local byte offsets (see arch.PhysLine.MemAddr).
 type Memory struct {
-	ctx   *sim.Ctx
-	cfg   Config
-	port  *sim.Resource
-	banks []bank
-	data  map[uint64]arch.Data // keyed by line-aligned local address
-	lost  bool
+	engine *sim.Engine
+	cfg    Config
+	port   *sim.Resource
+	banks  []bank
+	data   map[uint64]arch.Data // keyed by line-aligned local address
+	lost   bool
 
 	// Partial device loss: local byte addresses in [lostLo, lostHi) are
 	// destroyed while the rest of the module survives (a CXL-era failure
@@ -60,8 +60,7 @@ type Memory struct {
 
 	// opFree is the free list of pooled read/rmw completions and scratch
 	// the RMW working line; both avoid a heap allocation per access on the
-	// hot path (all accesses run on the owning node's shard, so a plain
-	// slice suffices).
+	// hot path (the engine is single-threaded, so a plain slice suffices).
 	opFree  []*memOp
 	scratch arch.Data
 
@@ -101,18 +100,17 @@ func (m *Memory) getOp(d arch.Data, done func(arch.Data)) *memOp {
 	return op
 }
 
-// New returns an empty (all-zero) memory. ctx is the owning node's
-// scheduling context: completions are events of that node's shard.
-func New(ctx *sim.Ctx, cfg Config) *Memory {
+// New returns an empty (all-zero) memory.
+func New(engine *sim.Engine, cfg Config) *Memory {
 	m := &Memory{
-		ctx:   ctx,
-		cfg:   cfg,
-		port:  sim.NewResource(ctx.Engine()),
-		banks: make([]bank, cfg.Banks),
-		data:  make(map[uint64]arch.Data),
+		engine: engine,
+		cfg:    cfg,
+		port:   sim.NewResource(engine),
+		banks:  make([]bank, cfg.Banks),
+		data:   make(map[uint64]arch.Data),
 	}
 	for i := range m.banks {
-		m.banks[i].busy = sim.NewResource(ctx.Engine())
+		m.banks[i].busy = sim.NewResource(engine)
 	}
 	return m
 }
@@ -152,7 +150,7 @@ func (m *Memory) Read(addr uint64, done func(arch.Data)) {
 		panic("mem: read of lost memory")
 	}
 	op := m.getOp(m.peek(addr), done)
-	m.ctx.At(m.access(addr), op.fireFn)
+	m.engine.At(m.access(addr), op.fireFn)
 }
 
 // Write performs a timed write of the line at addr. done may be nil.
@@ -163,7 +161,7 @@ func (m *Memory) Write(addr uint64, d arch.Data, done func()) {
 	m.poke(addr, d)
 	at := m.access(addr)
 	if done != nil {
-		m.ctx.At(at, done)
+		m.engine.At(at, done)
 	}
 }
 
@@ -182,7 +180,7 @@ func (m *Memory) ReadModifyWrite(addr uint64, f func(*arch.Data), done func(old 
 	at := m.access(addr) // write
 	if done != nil {
 		op := m.getOp(old, done)
-		m.ctx.At(at, op.fireFn)
+		m.engine.At(at, op.fireFn)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 func newTestMem() (*sim.Engine, *Memory) {
 	e := sim.NewEngine()
-	return e, New(e.Context(sim.GlobalOwner), DefaultConfig())
+	return e, New(e, DefaultConfig())
 }
 
 func lineData(b byte) arch.Data {

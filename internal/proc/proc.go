@@ -26,7 +26,7 @@ func DefaultConfig() Config { return Config{IssueWidth: 6} }
 
 // Proc is one processor.
 type Proc struct {
-	ctx    *sim.Ctx
+	engine *sim.Engine
 	cfg    Config
 	id     int
 	cc     *coherence.CacheCtrl
@@ -57,14 +57,12 @@ type Proc struct {
 	pendingOp workload.Op
 }
 
-// New builds a processor bound to its node's cache controller. ctx is the
-// node's scheduling context; everything the processor does is an event of
-// that node's shard.
-func New(ctx *sim.Ctx, cfg Config, id int, cc *coherence.CacheCtrl,
+// New builds a processor bound to its node's cache controller.
+func New(engine *sim.Engine, cfg Config, id int, cc *coherence.CacheCtrl,
 	stream workload.Stream, st *stats.Stats) *Proc {
-	p := &Proc{ctx: ctx, cfg: cfg, id: id, cc: cc, stream: stream, st: st}
+	p := &Proc{engine: engine, cfg: cfg, id: id, cc: cc, stream: stream, st: st}
 	p.stepFn = p.step
-	p.storeDone = func() { p.ctx.After(1, p.stepFn) }
+	p.storeDone = func() { p.engine.After(1, p.stepFn) }
 	p.issueFn = func() { p.issue(p.pendingOp) }
 	return p
 }
@@ -99,9 +97,7 @@ func (p *Proc) step() {
 		p.st.Trace.Instant(trace.ProcParked, p.id, 0)
 		cb := p.intReq
 		p.intReq = nil
-		// cb is the checkpoint manager's park acknowledgment — global
-		// state, so it must not run inside a parallel round.
-		p.ctx.Defer(cb)
+		cb()
 		return
 	}
 	op, ok := p.stream.Next()
@@ -109,9 +105,7 @@ func (p *Proc) step() {
 		p.finished = true
 		p.endExec()
 		if p.OnFinish != nil {
-			// Machine-global bookkeeping (the finished count, end-of-run
-			// clock), deferred out of shard context.
-			p.ctx.Defer(p.OnFinish)
+			p.OnFinish()
 		}
 		return
 	}
@@ -125,7 +119,7 @@ func (p *Proc) step() {
 		return
 	}
 	p.pendingOp = op
-	p.ctx.After(compute, p.issueFn)
+	p.engine.After(compute, p.issueFn)
 }
 
 func (p *Proc) issue(op workload.Op) {
@@ -172,7 +166,7 @@ func (p *Proc) Resume() {
 		return
 	}
 	p.parked = false
-	p.ctx.After(0, p.stepFn)
+	p.engine.After(0, p.stepFn)
 }
 
 // ContextSnapshot returns the stream snapshot saved at the last checkpoint
