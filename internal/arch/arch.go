@@ -11,7 +11,10 @@
 // evenly over all nodes.
 package arch
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Fixed geometry of the modeled memory system (Table 3: 64-byte lines).
 const (
@@ -62,23 +65,17 @@ func (l LineAddr) PageOffset() int { return int(l) & (LinesPerPage - 1) }
 // FirstLine returns the first line of the page.
 func (p PageNum) FirstLine() LineAddr { return LineAddr(p) << (PageShift - LineShift) }
 
-// XOR accumulates other into d, byte-wise. It is the parity-update
-// primitive: P' = P XOR (D XOR D').
+// XOR accumulates other into d, eight bytes at a time. It is the
+// parity-update primitive: P' = P XOR (D XOR D').
 func (d *Data) XOR(other *Data) {
-	for i := range d {
-		d[i] ^= other[i]
+	for i := 0; i < LineBytes; i += 8 {
+		binary.LittleEndian.PutUint64(d[i:],
+			binary.LittleEndian.Uint64(d[i:])^binary.LittleEndian.Uint64(other[i:]))
 	}
 }
 
 // IsZero reports whether every byte of the line is zero.
-func (d *Data) IsZero() bool {
-	for _, b := range d {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (d *Data) IsZero() bool { return *d == Data{} }
 
 // PhysLine names one cache line of physical memory: a frame on a node plus
 // the line offset within the frame's page.

@@ -50,6 +50,22 @@ func TestDataXORIsInvolution(t *testing.T) {
 	}
 }
 
+// The word-wise XOR must agree with the byte-wise definition on every
+// byte, including the last word.
+func TestDataXORMatchesBytewise(t *testing.T) {
+	f := func(a, b Data) bool {
+		want := a
+		for i := range want {
+			want[i] ^= b[i]
+		}
+		a.XOR(&b)
+		return a == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDataIsZero(t *testing.T) {
 	var d Data
 	if !d.IsZero() {

@@ -180,19 +180,24 @@ func (t Topology) StripePeers(p PhysLine) []PhysLine {
 // inverse of ParityOf): the stripe members other than the parity node.
 // It panics if p is not a parity line.
 func (t Topology) DataLinesOf(p PhysLine) []PhysLine {
+	return t.AppendDataLinesOf(make([]PhysLine, 0, t.groupSizeAt(p.Frame)-1), p)
+}
+
+// AppendDataLinesOf appends DataLinesOf(p) to dst and returns the extended
+// slice; a caller that reuses dst checks whole stripes without allocating.
+func (t Topology) AppendDataLinesOf(dst []PhysLine, p PhysLine) []PhysLine {
 	if !t.IsParityFrame(p.Node, p.Frame) {
 		panic("arch: DataLinesOf called on a data frame")
 	}
 	base, size := t.groupAt(p.Node, p.Frame)
-	out := make([]PhysLine, 0, size-1)
 	for i := 0; i < size; i++ {
 		n := base + NodeID(i)
 		if n == p.Node {
 			continue
 		}
-		out = append(out, PhysLine{Node: n, Frame: p.Frame, Off: p.Off})
+		dst = append(dst, PhysLine{Node: n, Frame: p.Frame, Off: p.Off})
 	}
-	return out
+	return dst
 }
 
 // DataFraction returns the fraction of memory available for data

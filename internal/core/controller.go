@@ -106,13 +106,16 @@ type Controller struct {
 	// down; after a fail-stop error, recovery Phase 1 settles whatever
 	// remains (ReconcileParity). XOR accumulation makes the ledger
 	// order-independent.
-	debt map[arch.PhysLine]arch.Data
+	debt map[debtKey]arch.Data
 	// reconScratch is ReconcileParity's reusable target-sorting buffer;
-	// puFree is the free list backing parity-update registrations. Both
-	// keep the steady-state event loop allocation-free (single-threaded
-	// engine: no synchronization needed).
-	reconScratch []arch.PhysLine
-	puFree       []*parityUpdate
+	// wbFree, logFree and roundFree are the free lists of the write-back,
+	// log-append and parity round-trip records. They keep the steady-state
+	// event loop allocation-free (single-threaded engine: no
+	// synchronization needed).
+	reconScratch []debtKey
+	wbFree       []*writeBack
+	logFree      []*logAppend
+	roundFree    []*parityRound
 
 	// DisableLBits is the section 4.1.2 ablation: without the L bit the
 	// old content is logged on *every* write-back (still correct; the
@@ -151,7 +154,7 @@ func NewController(engine *sim.Engine, node arch.NodeID, topo arch.Topology,
 		strategy: reviveStrategy{},
 		log:      NewHWLog(node, amap, dirs[node].Mem()),
 		lbits:    newLBitTable(),
-		debt:     make(map[arch.PhysLine]arch.Data),
+		debt:     make(map[debtKey]arch.Data),
 	}
 }
 
@@ -235,6 +238,49 @@ func (c *Controller) Write(line arch.LineAddr, phys arch.PhysLine, data arch.Dat
 	c.strategy.Write(c, line, phys, data, ckp, ack, release)
 }
 
+// --- pooled continuation records ---
+//
+// Each multi-step sequence below (the Figure 4 data write, a log append,
+// a parity round trip) runs on a record taken from a per-controller free
+// list, whose continuations are method values bound once when the record
+// is first built — the pattern of mem.memOp. A sequence therefore
+// allocates nothing in the steady state. A record abandoned mid-sequence
+// (fail-stop freeze, fabric loss) is simply never returned to its list.
+
+// popRecord takes a record from a free list, or returns nil if it is empty.
+func popRecord[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	r := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return r
+}
+
+// writeBack carries one Figure 4 data write through its continuations.
+type writeBack struct {
+	c            *Controller
+	line         arch.LineAddr
+	phys         arch.PhysLine
+	old, data    arch.Data
+	ckp          bool
+	ack, release func()
+
+	readFn    func(arch.Data) // the re-read of D completed
+	writtenFn func()          // D' is in memory
+}
+
+func (c *Controller) newWriteBack() *writeBack {
+	if w := popRecord(&c.wbFree); w != nil {
+		return w
+	}
+	w := &writeBack{c: c}
+	w.readFn, w.writtenFn = w.read, w.written
+	return w
+}
+
 // dataWrite performs the Figure 4 sequence: read current D (the re-read the
 // paper keeps because the directory controller has no data cache), write
 // D', acknowledge, update the data parity, release. Under mirroring the
@@ -242,34 +288,46 @@ func (c *Controller) Write(line arch.LineAddr, phys arch.PhysLine, data arch.Dat
 func (c *Controller) dataWrite(line arch.LineAddr, phys arch.PhysLine, data arch.Data,
 	ckp bool, ack, release func()) {
 	m := c.dirs[c.node].Mem()
-	old := m.Peek(phys.MemAddr())
-	write := func() {
-		c.st.Mem(wbClass(ckp))
-		c.accrue(c.local(phys), old, data)
-		m.Write(phys.MemAddr(), data, func() {
-			if c.hookAbort(StepDataWritten, line) {
-				return
-			}
-			ack()
-			delta := old
-			delta.XOR(&data)
-			c.sendParity(parityUpdate{
-				target: c.topo.ParityOf(c.local(phys)),
-				delta:  delta,
-				step:   StepDataParityApplied,
-				line:   line,
-			}, release)
-		})
-	}
+	w := c.newWriteBack()
+	w.line, w.phys, w.data, w.ckp, w.ack, w.release = line, phys, data, ckp, ack, release
+	w.old = m.Peek(phys.MemAddr())
 	if c.topo.MirroredFrame(phys.Frame) {
 		// Mirroring omits the old-data read and the XOR (section
 		// 3.2.1); the delta it ships degenerates to the new content
 		// because the mirror copy equals the old data.
-		write()
+		w.write()
 		return
 	}
 	c.st.Mem(stats.ClassParity) // Table 1: the extra read of D
-	m.Read(phys.MemAddr(), func(arch.Data) { write() })
+	m.Read(phys.MemAddr(), w.readFn)
+}
+
+func (w *writeBack) read(arch.Data) { w.write() }
+
+func (w *writeBack) write() {
+	c := w.c
+	c.st.Mem(wbClass(w.ckp))
+	c.accrue(c.local(w.phys), w.old, w.data)
+	c.dirs[c.node].Mem().Write(w.phys.MemAddr(), w.data, w.writtenFn)
+}
+
+func (w *writeBack) written() {
+	c := w.c
+	if c.hookAbort(StepDataWritten, w.line) {
+		return
+	}
+	w.ack()
+	u := parityUpdate{
+		target: c.topo.ParityOf(c.local(w.phys)),
+		delta:  w.old,
+		step:   StepDataParityApplied,
+		line:   w.line,
+	}
+	u.delta.XOR(&w.data)
+	release := w.release
+	w.ack, w.release = nil, nil
+	c.wbFree = append(c.wbFree, w)
+	c.sendParity(u, release)
 }
 
 func wbClass(ckp bool) stats.Class {
@@ -277,6 +335,31 @@ func wbClass(ckp bool) stats.Class {
 		return stats.ClassCkpWB
 	}
 	return stats.ClassExeWB
+}
+
+// logAppend carries one log entry through its continuations.
+type logAppend struct {
+	c        *Controller
+	line     arch.LineAddr
+	hdr, dat arch.PhysLine
+	// bareHdr is the header without marker; oldHdr and oldDat the log
+	// lines' previous content (reused slots hold stale entries).
+	bareHdr, oldHdr, oldDat arch.Data
+	entry                   arch.Data // the logged (old) content of line
+	u                       parityUpdate
+	done                    func()
+
+	writtenFn func()          // the entry's data line is in memory
+	readFn    func(arch.Data) // the log-parity read of the data line completed
+}
+
+func (c *Controller) newLogAppend() *logAppend {
+	if a := popRecord(&c.logFree); a != nil {
+		return a
+	}
+	a := &logAppend{c: c}
+	a.writtenFn, a.readFn = a.written, a.read
+	return a
 }
 
 // appendLog writes one log entry (old content of line) and updates the log
@@ -287,59 +370,70 @@ func (c *Controller) appendLog(line arch.LineAddr, old arch.Data, done func()) {
 	c.st.Trace.Instant(trace.LogAppend, int(c.node), uint64(line))
 	m := c.dirs[c.node].Mem()
 	s := c.log.Reserve()
-	hdr := c.local(s.headerLine())
-	dat := c.local(s.dataLine())
+	a := c.newLogAppend()
+	a.line, a.entry, a.done = line, old, done
+	a.hdr = c.local(s.headerLine())
+	a.dat = c.local(s.dataLine())
 
-	// Old content of the log lines (reused slots hold stale entries) for
-	// the parity delta. Table 1 charges this read to the log-parity step.
-	oldHdr := m.Peek(hdr.MemAddr())
-	oldDat := m.Peek(dat.MemAddr())
+	// Old content of the log lines for the parity delta. Table 1 charges
+	// this read to the log-parity step.
+	a.oldHdr = m.Peek(a.hdr.MemAddr())
+	a.oldDat = m.Peek(a.dat.MemAddr())
 
 	// Write the entry: data line (timed, the Table 1 "copy data to log"
 	// access) and header without marker (piggybacked on the same burst).
-	bareHdr := encodeHeader(header{line: line, epoch: c.epoch})
-	c.accrue(hdr, oldHdr, bareHdr)
-	m.Poke(hdr.MemAddr(), bareHdr)
+	a.bareHdr = encodeHeader(header{line: line, epoch: c.epoch})
+	c.accrue(a.hdr, a.oldHdr, a.bareHdr)
+	m.Poke(a.hdr.MemAddr(), a.bareHdr)
 	c.st.Mem(stats.ClassLog)
-	c.accrue(dat, oldDat, old)
-	m.Write(dat.MemAddr(), old, func() {
-		if c.hookAbort(StepLogDataWritten, line) {
-			return
-		}
-		// Validate the Marker (atomic-log-update race: an entry is used
-		// by recovery only once its marker is in memory).
-		newHdr := encodeHeader(header{line: line, epoch: c.epoch, marker: markerValid})
-		c.accrue(hdr, bareHdr, newHdr)
-		m.Poke(hdr.MemAddr(), newHdr)
-		if c.hookAbort(StepLogMarkerWritten, line) {
-			return
-		}
+	c.accrue(a.dat, a.oldDat, old)
+	m.Write(a.dat.MemAddr(), old, a.writtenFn)
+}
 
-		deltaDat := oldDat
-		deltaDat.XOR(&old)
-		deltaHdr := oldHdr
-		deltaHdr.XOR(&newHdr)
-		send := func() {
-			c.sendParity(parityUpdate{
-				target:    c.topo.ParityOf(dat),
-				delta:     deltaDat,
-				step:      StepLogParityApplied,
-				line:      line,
-				auxValid:  true,
-				auxTarget: c.topo.ParityOf(hdr),
-				auxDelta:  deltaHdr,
-				auxStep:   StepLogMarkerParityApplied,
-			}, done)
-		}
-		if c.topo.MirroredFrame(dat.Frame) {
-			send()
-			return
-		}
-		// Table 1: "update log parity" includes reading the old log
-		// line content at the home (skipped under mirroring).
-		c.st.Mem(stats.ClassParity)
-		m.Read(dat.MemAddr(), func(arch.Data) { send() })
-	})
+func (a *logAppend) written() {
+	c := a.c
+	if c.hookAbort(StepLogDataWritten, a.line) {
+		return
+	}
+	// Validate the Marker (atomic-log-update race: an entry is used by
+	// recovery only once its marker is in memory).
+	m := c.dirs[c.node].Mem()
+	newHdr := encodeHeader(header{line: a.line, epoch: c.epoch, marker: markerValid})
+	c.accrue(a.hdr, a.bareHdr, newHdr)
+	m.Poke(a.hdr.MemAddr(), newHdr)
+	if c.hookAbort(StepLogMarkerWritten, a.line) {
+		return
+	}
+
+	a.u = parityUpdate{
+		target:    c.topo.ParityOf(a.dat),
+		delta:     a.oldDat,
+		step:      StepLogParityApplied,
+		line:      a.line,
+		auxValid:  true,
+		auxTarget: c.topo.ParityOf(a.hdr),
+		auxDelta:  a.oldHdr,
+		auxStep:   StepLogMarkerParityApplied,
+	}
+	a.u.delta.XOR(&a.entry)
+	a.u.auxDelta.XOR(&newHdr)
+	if c.topo.MirroredFrame(a.dat.Frame) {
+		a.send()
+		return
+	}
+	// Table 1: "update log parity" includes reading the old log line
+	// content at the home (skipped under mirroring).
+	c.st.Mem(stats.ClassParity)
+	m.Read(a.dat.MemAddr(), a.readFn)
+}
+
+func (a *logAppend) read(arch.Data) { a.send() }
+
+func (a *logAppend) send() {
+	c, u, done := a.c, a.u, a.done
+	a.done = nil
+	c.logFree = append(c.logFree, a)
+	c.sendParity(u, done)
 }
 
 // writeCkptMarker appends the checkpoint-commit marker entry for epoch
@@ -382,16 +476,7 @@ func (c *Controller) CommitEpoch(epoch uint64, retain int) {
 // parityUpdate is one parity-update message: the XOR delta for a target
 // parity line (or the full new content under mirroring), optionally
 // carrying a piggybacked header-line update for log entries.
-//
-// Each update is registered with its originating controller until the
-// acknowledgment returns. The registry models the controller's transient-
-// state buffers: on a fail-stop error, surviving controllers reconcile
-// their in-flight updates during recovery Phase 1 (the messages are
-// protected by error-detection codes, section 3.1.2); only updates whose
-// originating or target controller died are genuinely lost, and those are
-// exactly the cases the section 4.2 race arguments cover.
 type parityUpdate struct {
-	from   *Controller // originator, for ledger pay-down
 	target arch.PhysLine
 	delta  arch.Data
 	step   Step
@@ -403,29 +488,49 @@ type parityUpdate struct {
 	auxStep   Step
 }
 
+// debtKey is a parity line packed into one word for the ledger: the node
+// above the line's local memory address (a 32-bit frame plus the page
+// offset). Keys order by (node, frame, offset), and a plain integer key
+// takes the map's fast path.
+type debtKey uint64
+
+const debtNodeShift = 32 + arch.PageShift
+
+func keyOf(p arch.PhysLine) debtKey {
+	return debtKey(uint64(p.Node)<<debtNodeShift | p.MemAddr())
+}
+
+func (k debtKey) line() arch.PhysLine {
+	return arch.PhysLine{
+		Node:  arch.NodeID(k >> debtNodeShift),
+		Frame: arch.Frame(k >> arch.PageShift), // truncation drops the node
+		Off:   uint8(k>>arch.LineShift) & (arch.LinesPerPage - 1),
+	}
+}
+
 // accrue records parity debt for a write of new over old at data line
 // phys, at the instant the memory content changes.
 func (c *Controller) accrue(phys arch.PhysLine, old, new arch.Data) {
-	target := c.topo.ParityOf(phys)
-	d := c.debt[target]
-	d.XOR(&old)
+	d := old
 	d.XOR(&new)
-	if d.IsZero() {
-		delete(c.debt, target)
-	} else {
-		c.debt[target] = d
-	}
+	c.settle(keyOf(c.topo.ParityOf(phys)), &d)
 }
 
 // payDebt cancels delta from the ledger once the remote parity application
 // has happened.
 func (c *Controller) payDebt(target arch.PhysLine, delta arch.Data) {
-	d := c.debt[target]
-	d.XOR(&delta)
+	c.settle(keyOf(target), &delta)
+}
+
+// settle folds delta into the ledger entry for k, dropping the entry once
+// it nets to zero.
+func (c *Controller) settle(k debtKey, delta *arch.Data) {
+	d := c.debt[k]
+	d.XOR(delta)
 	if d.IsZero() {
-		delete(c.debt, target)
+		delete(c.debt, k)
 	} else {
-		c.debt[target] = d
+		c.debt[k] = d
 	}
 }
 
@@ -439,12 +544,13 @@ func (c *Controller) payDebt(target arch.PhysLine, delta arch.Data) {
 // call DropPending instead — its buffers died with it (and its data is
 // reconstructed anyway).
 func (c *Controller) ReconcileParity() {
-	targets := c.reconScratch[:0]
-	for target := range c.debt {
-		targets = append(targets, target)
+	keys := c.reconScratch[:0]
+	for k := range c.debt {
+		keys = append(keys, k)
 	}
-	slices.SortFunc(targets, comparePhysLines)
-	for _, target := range targets {
+	slices.Sort(keys)
+	for _, k := range keys {
+		target := k.line()
 		m := c.dirs[target.Node].Mem()
 		if m.LineLost(target.MemAddr()) {
 			// Fully lost node, or the target parity line sits inside a
@@ -454,135 +560,130 @@ func (c *Controller) ReconcileParity() {
 			c.st.Trace.Instant(trace.ParityDebtDropped, int(c.node), target.MemAddr())
 			continue
 		}
-		delta := c.debt[target]
-		cur := m.Peek(target.MemAddr())
-		cur.XOR(&delta)
-		m.Poke(target.MemAddr(), cur)
+		c.applyDelta(m, target, c.debt[k])
 	}
-	c.reconScratch = targets[:0]
-	clearDebt(c.debt)
-}
-
-// comparePhysLines orders physical lines by (node, frame, offset).
-func comparePhysLines(a, b arch.PhysLine) int {
-	switch {
-	case a.Node != b.Node:
-		return int(a.Node) - int(b.Node)
-	case a.Frame != b.Frame:
-		return int(a.Frame) - int(b.Frame)
-	default:
-		return int(a.Off) - int(b.Off)
-	}
-}
-
-// clearDebt empties the ledger in place, keeping its buckets for reuse.
-func clearDebt(debt map[arch.PhysLine]arch.Data) {
-	for k := range debt {
-		delete(debt, k)
-	}
+	c.reconScratch = keys[:0]
+	clear(c.debt)
 }
 
 // DropPending discards the ledger (the controller itself was lost).
 func (c *Controller) DropPending() {
-	clearDebt(c.debt)
+	clear(c.debt)
 }
 
 // PendingDebts reports outstanding ledger entries (tests).
 func (c *Controller) PendingDebts() int { return len(c.debt) }
 
-// getUpdate takes a registration from the free list (or allocates the
-// first time); putUpdate returns one once its round trip completes. An
-// update abandoned mid-flight — fabric loss, fail-stop freeze — simply
-// never returns to the list and is collected with its closures.
-func (c *Controller) getUpdate() *parityUpdate {
-	if n := len(c.puFree); n > 0 {
-		p := c.puFree[n-1]
-		c.puFree[n-1] = nil
-		c.puFree = c.puFree[:n-1]
-		return p
-	}
-	return &parityUpdate{}
+// parityRound carries one parity update from its originator to the
+// parity line's home and the acknowledgment back (Figure 4's messages 3
+// and 4).
+//
+// Each round is registered with its originating controller until the
+// acknowledgment returns. The registry models the controller's transient-
+// state buffers: on a fail-stop error, surviving controllers reconcile
+// their in-flight updates during recovery Phase 1 (the messages are
+// protected by error-detection codes, section 3.1.2); only updates whose
+// originating or target controller died are genuinely lost, and those are
+// exactly the cases the section 4.2 race arguments cover.
+type parityRound struct {
+	parityUpdate
+	from *Controller // originator, for ledger pay-down and the ack
+	done func()
+
+	deliverFn func()           // the update reaches the parity home
+	applyFn   func()           // the home's controller-pipeline pass ends
+	xorFn     func(*arch.Data) // the modify step of the read-XOR-write
+	rmwFn     func(arch.Data)  // the read-XOR-write completed
+	writtenFn func()           // the mirror-copy write completed
+	ackFn     func()           // the acknowledgment reaches the originator
 }
 
-func (c *Controller) putUpdate(p *parityUpdate) {
-	*p = parityUpdate{}
-	c.puFree = append(c.puFree, p)
+func (c *Controller) newParityRound() *parityRound {
+	if r := popRecord(&c.roundFree); r != nil {
+		return r
+	}
+	r := &parityRound{from: c}
+	r.deliverFn, r.applyFn, r.xorFn = r.deliver, r.apply, r.xor
+	r.rmwFn, r.writtenFn, r.ackFn = r.rmwDone, r.written, r.ack
+	return r
 }
 
 // sendParity transmits the update to the parity line's home node and runs
-// done when the acknowledgment returns (Figure 4's messages 3 and 4). The
-// caller's directory entry stays busy for the duration.
+// done when the acknowledgment returns. The caller's directory entry stays
+// busy for the duration.
 func (c *Controller) sendParity(u parityUpdate, done func()) {
 	c.tracker.Inc()
 	c.st.Trace.AsyncBegin(trace.ParityUpdate, int(c.node), uint64(u.line))
-	p := c.getUpdate()
-	*p = u
-	p.from = c
-	self := c.node
+	r := c.newParityRound()
+	r.parityUpdate, r.done = u, done
 	c.net.Send(network.Message{
-		Src: self, Dst: p.target.Node, Bytes: network.DataBytes, Class: stats.ClassParity,
-		Deliver: func() {
-			c.peers[p.target.Node].handleParityUpdate(p, func() {
-				c.net.Send(network.Message{
-					Src: p.target.Node, Dst: self, Bytes: network.ControlBytes,
-					Class: stats.ClassParity,
-					Deliver: func() {
-						c.st.Trace.AsyncEnd(trace.ParityUpdate, int(self), uint64(p.line))
-						c.tracker.Dec()
-						c.putUpdate(p)
-						done()
-					},
-				})
-			})
-		},
+		Src: c.node, Dst: u.target.Node, Bytes: network.DataBytes, Class: stats.ClassParity,
+		Deliver: r.deliverFn,
 	})
 }
 
-// handleParityUpdate applies an incoming update at the parity line's home:
-// one controller-pipeline pass, then read-XOR-write of the parity line
-// (the same XOR functionally under mirroring, where the "parity" is a copy
-// and the reads are skipped — only the timing differs), then the
-// piggybacked header update — strictly after the data parity, per the
-// atomic-log-update race rule. Each application pays down the originator's
-// ledger at the instant the parity content changes.
-func (c *Controller) handleParityUpdate(u *parityUpdate, ackSend func()) {
-	m := c.dirs[c.node].Mem()
-	apply := func() {
-		finish := func() {
-			if u.auxValid {
-				c.applyDelta(m, u.auxTarget, u.auxDelta)
-				u.from.payDebt(u.auxTarget, u.auxDelta)
-				if c.hookAbort(u.auxStep, u.line) {
-					return // frozen at the aux step: the ack dies in flight
-				}
-			}
-			ackSend()
-		}
-		newVal := m.Peek(u.target.MemAddr())
-		newVal.XOR(&u.delta)
-		u.from.payDebt(u.target, u.delta)
-		if c.topo.MirroredFrame(u.target.Frame) {
-			c.st.Mem(stats.ClassParity)
-			m.Write(u.target.MemAddr(), newVal, func() {
-				if c.hookAbort(u.step, u.line) {
-					return
-				}
-				finish()
-			})
-			return
-		}
-		c.st.Mem(stats.ClassParity)
-		c.st.Mem(stats.ClassParity)
-		delta := u.delta
-		m.ReadModifyWrite(u.target.MemAddr(), func(p *arch.Data) { p.XOR(&delta) },
-			func(arch.Data) {
-				if c.hookAbort(u.step, u.line) {
-					return
-				}
-				finish()
-			})
+// home is the controller hosting the round's parity line.
+func (r *parityRound) home() *Controller { return r.from.peers[r.target.Node] }
+
+func (r *parityRound) deliver() {
+	h := r.home()
+	h.engine.At(h.dirs[h.node].Occupy(), r.applyFn)
+}
+
+// apply applies the update at the parity line's home after its controller-
+// pipeline pass: read-XOR-write of the parity line (the same XOR
+// functionally under mirroring, where the "parity" is a copy and the reads
+// are skipped — only the timing differs), then the piggybacked header
+// update — strictly after the data parity, per the atomic-log-update race
+// rule. Each application pays down the originator's ledger at the instant
+// the parity content changes.
+func (r *parityRound) apply() {
+	h := r.home()
+	m := h.dirs[h.node].Mem()
+	r.from.payDebt(r.target, r.delta)
+	if h.topo.MirroredFrame(r.target.Frame) {
+		newVal := m.Peek(r.target.MemAddr())
+		newVal.XOR(&r.delta)
+		h.st.Mem(stats.ClassParity)
+		m.Write(r.target.MemAddr(), newVal, r.writtenFn)
+		return
 	}
-	c.engine.At(c.dirs[c.node].Occupy(), apply)
+	h.st.Mem(stats.ClassParity)
+	h.st.Mem(stats.ClassParity)
+	m.ReadModifyWrite(r.target.MemAddr(), r.xorFn, r.rmwFn)
+}
+
+func (r *parityRound) xor(p *arch.Data) { p.XOR(&r.delta) }
+
+func (r *parityRound) rmwDone(arch.Data) { r.written() }
+
+// written runs once the parity line holds the update: the piggybacked
+// header update follows, then the acknowledgment leaves for the originator.
+func (r *parityRound) written() {
+	h := r.home()
+	if h.hookAbort(r.step, r.line) {
+		return
+	}
+	if r.auxValid {
+		h.applyDelta(h.dirs[h.node].Mem(), r.auxTarget, r.auxDelta)
+		r.from.payDebt(r.auxTarget, r.auxDelta)
+		if h.hookAbort(r.auxStep, r.line) {
+			return // frozen at the aux step: the ack dies in flight
+		}
+	}
+	r.from.net.Send(network.Message{
+		Src: r.target.Node, Dst: r.from.node, Bytes: network.ControlBytes,
+		Class: stats.ClassParity, Deliver: r.ackFn,
+	})
+}
+
+func (r *parityRound) ack() {
+	c, done := r.from, r.done
+	c.st.Trace.AsyncEnd(trace.ParityUpdate, int(c.node), uint64(r.line))
+	c.tracker.Dec()
+	r.done = nil
+	c.roundFree = append(c.roundFree, r)
+	done()
 }
 
 // applyDelta folds a piggybacked (uncharged) line update into memory.

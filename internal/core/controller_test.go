@@ -180,3 +180,109 @@ func TestPropertyLedgerAlgebra(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Pin the pooled continuation records: once a sequence's records exist,
+// a whole parity round trip — send, the home's read-XOR-write, the
+// acknowledgment, the ledger pay-down — allocates nothing.
+func TestParityRoundTripZeroAlloc(t *testing.T) {
+	engine, ctrls, amap := newCtrlRig()
+	c := ctrls[2]
+	line := arch.PageNum(100).FirstLine()
+	phys := amap.TouchLine(line, 2)
+	target := c.topo.ParityOf(phys)
+	var oldD, newD arch.Data
+	newD[0] = 0x5A
+	delta := oldD
+	delta.XOR(&newD)
+	done := func() {}
+	round := func() {
+		c.accrue(phys, oldD, newD)
+		c.sendParity(parityUpdate{target: target, delta: delta,
+			step: StepDataParityApplied, line: line}, done)
+		engine.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("parity round trip allocates %.1f per op, want 0", allocs)
+	}
+	if c.PendingDebts() != 0 {
+		t.Fatal("ledger not settled after the round trips")
+	}
+}
+
+// The Figure 4 data write (re-read of D, write of D', acknowledgment and
+// the parity round) allocates nothing in the steady state.
+func TestDataWriteZeroAlloc(t *testing.T) {
+	engine, ctrls, amap := newCtrlRig()
+	c := ctrls[2]
+	line := arch.PageNum(100).FirstLine()
+	phys := amap.TouchLine(line, 2)
+	var data arch.Data
+	ack, release := func() {}, func() {}
+	write := func() {
+		data[0]++ // a new value every time, so D' differs from D
+		c.dataWrite(line, phys, data, false, ack, release)
+		engine.Run()
+	}
+	write()
+	if allocs := testing.AllocsPerRun(1000, write); allocs != 0 {
+		t.Fatalf("dataWrite allocates %.1f per op, want 0", allocs)
+	}
+	if got := c.dirs[2].Mem().Peek(phys.MemAddr()); got != data {
+		t.Fatal("memory does not hold the last write")
+	}
+}
+
+// A log append (entry data and header, marker validation, the log-parity
+// round) allocates nothing once its records exist. Truncating back to the
+// epoch-0 marker after each append makes every append reuse the same slot,
+// as the ring does after reclamation, so the log's own growth (a new frame
+// every few dozen entries) stays out of the measurement.
+func TestAppendLogZeroAlloc(t *testing.T) {
+	engine, ctrls, _ := newCtrlRig()
+	c := ctrls[3]
+	line := arch.PageNum(7).FirstLine()
+	var old arch.Data
+	done := func() {}
+	appendOne := func() {
+		old[0]++
+		c.appendLog(line, old, done)
+		engine.Run()
+		if err := c.log.TruncateAtMarker(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendOne()
+	if allocs := testing.AllocsPerRun(1000, appendOne); allocs != 0 {
+		t.Fatalf("appendLog allocates %.1f per op, want 0", allocs)
+	}
+	if c.PendingDebts() != 0 {
+		t.Fatal("ledger not settled after the appends")
+	}
+}
+
+// Property: a ledger key round-trips to its parity line, and keys order
+// exactly as (node, frame, offset) — the order ReconcileParity settles in.
+func TestPropertyDebtKeyOrderAndRoundTrip(t *testing.T) {
+	line := func(n uint8, f uint32, off uint8) arch.PhysLine {
+		return arch.PhysLine{Node: arch.NodeID(n), Frame: arch.Frame(f), Off: off % arch.LinesPerPage}
+	}
+	less := func(a, b arch.PhysLine) bool {
+		if a.Node != b.Node {
+			return a.Node < b.Node
+		}
+		if a.Frame != b.Frame {
+			return a.Frame < b.Frame
+		}
+		return a.Off < b.Off
+	}
+	f := func(an uint8, af uint32, ao uint8, bn uint8, bf uint32, bo uint8) bool {
+		full := line(an, af, ao)
+		// Small ranges make ties on node and frame common.
+		a, b := line(an%3, af%3, ao%3), line(bn%3, bf%3, bo%3)
+		return keyOf(full).line() == full && (keyOf(a) < keyOf(b)) == less(a, b)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

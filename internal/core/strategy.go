@@ -133,14 +133,14 @@ func (reviveStrategy) WriteIntent(c *Controller, line arch.LineAddr, phys arch.P
 // Figure 4 data write and data parity update.
 func (reviveStrategy) Write(c *Controller, line arch.LineAddr, phys arch.PhysLine, data arch.Data,
 	ckp bool, ack, release func()) {
-	doWrite := func() { c.dataWrite(line, phys, data, ckp, ack, release) }
 	if !c.needsLog(phys) {
 		c.Events.WBLogged++
-		doWrite()
+		c.dataWrite(line, phys, data, ckp, ack, release)
 		return
 	}
 	c.Events.WBNotLogged++
 	c.lbits.set(lineIndex(phys), line)
+	doWrite := func() { c.dataWrite(line, phys, data, ckp, ack, release) }
 	if c.BugDataBeforeLog {
 		// The deliberately broken build: the data write lands first and
 		// the "old" content fed to the log is peeked *after* it — the log

@@ -42,14 +42,14 @@ func (*inlineLogStrategy) WriteIntent(c *Controller, line arch.LineAddr, phys ar
 // overflows take the classic slow path.
 func (*inlineLogStrategy) Write(c *Controller, line arch.LineAddr, phys arch.PhysLine, data arch.Data,
 	ckp bool, ack, release func()) {
-	doWrite := func() { c.dataWrite(line, phys, data, ckp, ack, release) }
 	if !c.needsLog(phys) {
 		c.Events.WBLogged++
-		doWrite()
+		c.dataWrite(line, phys, data, ckp, ack, release)
 		return
 	}
 	c.Events.WBNotLogged++
 	c.lbits.set(lineIndex(phys), line)
+	doWrite := func() { c.dataWrite(line, phys, data, ckp, ack, release) }
 	old := c.dirs[c.node].Mem().Peek(phys.MemAddr())
 	logged := old
 	if c.BugDataBeforeLog {

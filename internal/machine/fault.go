@@ -471,16 +471,18 @@ func (m *Machine) VerifyAgainstSnapshot(snap *Snapshot) error {
 	}
 	for n := 0; n < m.Cfg.Nodes; n++ {
 		node := arch.NodeID(n)
+		mm, img := m.Mems[node], snap.Mems[node]
 		maxFrame := m.AMap.FramesUsed(node)
 		for f := arch.Frame(0); f < maxFrame; f++ {
-			if m.Topo.IsParityFrame(node, f) || logFrames[node][f] {
+			if m.Topo.IsParityFrame(node, f) || logFrames[node][f] || mm.FrameEqual(f, img) {
 				continue
 			}
+			// Find the first differing line (or meet the lost-memory
+			// panic, exactly as a line-by-line comparison would).
 			for off := 0; off < arch.LinesPerPage; off++ {
 				addr := arch.PhysLine{Node: node, Frame: f, Off: uint8(off)}.MemAddr()
-				got := m.Mems[node].Peek(addr)
-				want := snap.Mems[node][addr]
-				if got != want {
+				if got, want := mm.Peek(addr), img.Peek(addr); got != want {
+					got, want := got, want // copied here so only a mismatch allocates
 					return fmt.Errorf("node %d frame %d off %d: got %x want %x",
 						node, f, off, got[:8], want[:8])
 				}

@@ -107,7 +107,7 @@ func Baseline(scale int) Config {
 type Snapshot struct {
 	Epoch    uint64
 	Time     sim.Time
-	Mems     []map[uint64]arch.Data
+	Mems     []mem.Image // per node; nil unless Config.Verify
 	Contexts []any
 }
 
@@ -124,7 +124,7 @@ type Machine struct {
 	Mems    []*mem.Memory
 	Dirs    []*coherence.DirCtrl
 	Caches  []*coherence.CacheCtrl
-	Ctrls   []*core.Controller // nil entries when Revive is off
+	Ctrls   []*core.Controller // one per node; nil when Revive is off
 	Procs   []*proc.Proc
 	Ckpt    *core.CheckpointManager
 
@@ -279,7 +279,7 @@ func (m *Machine) onCommit(epoch uint64) {
 	snap := &Snapshot{Epoch: epoch, Time: m.Engine.Now()}
 	if m.Cfg.Verify {
 		for _, mm := range m.Mems {
-			snap.Mems = append(snap.Mems, mm.Snapshot())
+			snap.Mems = append(snap.Mems, mm.Image())
 		}
 	}
 	for _, p := range m.Procs {
@@ -413,10 +413,10 @@ func (m *Machine) Start() {
 func (m *Machine) Done() bool { return m.finished == len(m.Procs) }
 
 // MemImage returns the current functional content of all memories.
-func (m *Machine) MemImage() []map[uint64]arch.Data {
-	out := make([]map[uint64]arch.Data, len(m.Mems))
+func (m *Machine) MemImage() []mem.Image {
+	out := make([]mem.Image, len(m.Mems))
 	for i, mm := range m.Mems {
-		out[i] = mm.Snapshot()
+		out[i] = mm.Image()
 	}
 	return out
 }

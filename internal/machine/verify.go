@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"revive/internal/arch"
 	"revive/internal/cache"
@@ -27,6 +28,7 @@ func (m *Machine) VerifyParity() error {
 			}
 		}
 	}
+	stripe := make([]arch.PhysLine, 0, m.Topo.GroupSize) // reused for every parity frame
 	for n := 0; n < m.Cfg.Nodes; n++ {
 		pn := arch.NodeID(n)
 		if m.Mems[pn].Lost() {
@@ -36,22 +38,20 @@ func (m *Machine) VerifyParity() error {
 			if !m.Topo.IsParityFrame(pn, f) {
 				continue
 			}
+			stripe = m.Topo.AppendDataLinesOf(stripe[:0], arch.PhysLine{Node: pn, Frame: f})
+			if slices.ContainsFunc(stripe, func(q arch.PhysLine) bool { return m.Mems[q.Node].Lost() }) {
+				continue
+			}
 			for off := 0; off < arch.LinesPerPage; off++ {
 				p := arch.PhysLine{Node: pn, Frame: f, Off: uint8(off)}
 				var want arch.Data
-				lost := false
-				for _, q := range m.Topo.DataLinesOf(p) {
-					if m.Mems[q.Node].Lost() {
-						lost = true
-						break
-					}
+				for _, q := range stripe {
+					q.Off = p.Off
 					d := m.Mems[q.Node].Peek(q.MemAddr())
 					want.XOR(&d)
 				}
-				if lost {
-					continue
-				}
 				if got := m.Mems[pn].Peek(p.MemAddr()); got != want {
+					got, want := got, want // copied here so only a mismatch allocates
 					return fmt.Errorf("parity mismatch at %v: parity has %x, want %x",
 						p, got[:8], want[:8])
 				}
@@ -197,6 +197,7 @@ func (m *Machine) VerifyCoherence() error {
 				if isDirty {
 					dirty = append(dirty, arch.NodeID(n))
 				} else if l2.Data != memData {
+					memData := memData // copied here so only a mismatch allocates
 					err = fmt.Errorf("node %d: clean copy of %#x differs from memory (dir=%s owner=%d sharers=%v l2state=%v cache=%x mem=%x)",
 						n, e.Line, e.State, e.Owner, e.Sharers, l2.State, l2.Data[:8], memData[:8])
 					return

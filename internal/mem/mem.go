@@ -6,6 +6,9 @@
 package mem
 
 import (
+	"math/bits"
+	"slices"
+
 	"revive/internal/arch"
 	"revive/internal/sim"
 )
@@ -43,6 +46,22 @@ type bank struct {
 	valid   bool
 }
 
+// page is one frame's functional content: bit i of mask is set iff line i
+// is non-zero, and lines holds exactly those lines, packed in offset order,
+// so line i sits at index popcount(mask & (1<<i - 1)).
+type page struct {
+	mask  uint64
+	lines []arch.Data
+}
+
+// lineBit is the presence-mask bit of the line holding addr.
+func lineBit(addr uint64) uint64 {
+	return 1 << (addr >> arch.LineShift & (arch.LinesPerPage - 1))
+}
+
+// slot returns the packed index line bit has (or would have) in lines.
+func (p *page) slot(bit uint64) int { return bits.OnesCount64(p.mask & (bit - 1)) }
+
 // Memory is one node's DRAM module: timed access plus functional storage.
 // Addresses are node-local byte offsets (see arch.PhysLine.MemAddr).
 type Memory struct {
@@ -50,7 +69,12 @@ type Memory struct {
 	cfg    Config
 	port   *sim.Resource
 	banks  []bank
-	data   map[uint64]arch.Data // keyed by line-aligned local address
+	// pages is the functional store, indexed by frame (addr >> PageShift)
+	// and grown on the first non-zero write to a frame. A zero line is
+	// never stored, so an absent line, a frame past the end and a line
+	// written back to zero all read as zero. stored counts present lines.
+	pages  []page
+	stored int
 	lost   bool
 
 	// Partial device loss: local byte addresses in [lostLo, lostHi) are
@@ -100,14 +124,13 @@ func (m *Memory) getOp(d arch.Data, done func(arch.Data)) *memOp {
 	return op
 }
 
-// New returns an empty (all-zero) memory.
+// New returns an empty (all-zero) memory. It allocates no line storage.
 func New(engine *sim.Engine, cfg Config) *Memory {
 	m := &Memory{
 		engine: engine,
 		cfg:    cfg,
 		port:   sim.NewResource(engine),
 		banks:  make([]bank, cfg.Banks),
-		data:   make(map[uint64]arch.Data),
 	}
 	for i := range m.banks {
 		m.banks[i].busy = sim.NewResource(engine)
@@ -185,16 +208,42 @@ func (m *Memory) ReadModifyWrite(addr uint64, f func(*arch.Data), done func(old 
 }
 
 func (m *Memory) peek(addr uint64) arch.Data {
-	return m.data[addr&^uint64(arch.LineBytes-1)]
+	f := addr >> arch.PageShift
+	if f >= uint64(len(m.pages)) {
+		return arch.Data{}
+	}
+	p := &m.pages[f]
+	bit := lineBit(addr)
+	if p.mask&bit == 0 {
+		return arch.Data{}
+	}
+	return p.lines[p.slot(bit)]
 }
 
 func (m *Memory) poke(addr uint64, d arch.Data) {
-	line := addr &^ uint64(arch.LineBytes-1)
-	if d.IsZero() {
-		delete(m.data, line)
-		return
+	f := addr >> arch.PageShift
+	zero := d.IsZero()
+	if f >= uint64(len(m.pages)) {
+		if zero {
+			return
+		}
+		m.pages = append(m.pages, make([]page, f+1-uint64(len(m.pages)))...)
 	}
-	m.data[line] = d
+	p := &m.pages[f]
+	bit := lineBit(addr)
+	i := p.slot(bit)
+	switch {
+	case p.mask&bit != 0 && zero:
+		p.lines = slices.Delete(p.lines, i, i+1)
+		p.mask &^= bit
+		m.stored--
+	case p.mask&bit != 0:
+		p.lines[i] = d
+	case !zero:
+		p.lines = slices.Insert(p.lines, i, d)
+		p.mask |= bit
+		m.stored++
+	}
 }
 
 // Peek returns the line content with no timing effect (verification and
@@ -219,7 +268,7 @@ func (m *Memory) Poke(addr uint64, d arch.Data) {
 // loss whose module then dies entirely is just a full loss).
 func (m *Memory) MarkLost() {
 	m.lost = true
-	m.data = nil
+	m.pages, m.stored = nil, 0
 	m.lostLo, m.lostHi = 0, 0
 }
 
@@ -237,10 +286,21 @@ func (m *Memory) MarkLostRange(lo, hi uint64) {
 		hi = max(hi, m.lostHi)
 	}
 	m.lostLo, m.lostHi = lo, hi
-	for line := range m.data {
-		if line >= lo && line < hi {
-			delete(m.data, line)
+	for f := lo >> arch.PageShift; f < uint64(len(m.pages)) && f<<arch.PageShift < hi; f++ {
+		p := &m.pages[f]
+		kept, i := p.lines[:0], 0
+		for mask := p.mask; mask != 0; mask &= mask - 1 {
+			off := uint64(bits.TrailingZeros64(mask))
+			if line := f<<arch.PageShift | off<<arch.LineShift; line >= lo && line < hi {
+				p.mask &^= 1 << off
+				m.stored--
+			} else {
+				kept = append(kept, p.lines[i])
+			}
+			i++
 		}
+		clear(p.lines[len(kept):])
+		p.lines = kept
 	}
 }
 
@@ -249,7 +309,7 @@ func (m *Memory) MarkLostRange(lo, hi uint64) {
 func (m *Memory) Restore() {
 	m.lost = false
 	m.lostLo, m.lostHi = 0, 0
-	m.data = make(map[uint64]arch.Data)
+	m.pages, m.stored = nil, 0
 }
 
 // RestoreRange replaces the partially-lost device: the range becomes
@@ -272,18 +332,81 @@ func (m *Memory) LostRange() (lo, hi uint64) { return m.lostLo, m.lostHi }
 // partial loss). Recovery and verification use it to scope reconstruction.
 func (m *Memory) LineLost(addr uint64) bool { return m.lineLost(addr) }
 
-// Snapshot returns a copy of the entire functional content. Tests use it to
-// verify that recovery restores the exact checkpoint state.
-func (m *Memory) Snapshot() map[uint64]arch.Data {
-	out := make(map[uint64]arch.Data, len(m.data))
-	for k, v := range m.data {
-		out[k] = v
-	}
-	return out
+// LinesStored returns how many non-zero lines the memory holds.
+func (m *Memory) LinesStored() int { return m.stored }
+
+// Image is an immutable copy of a memory's functional content: the
+// checkpoint images the rollback oracle compares recovered memory against.
+// It keeps the store's layout — a presence mask per frame and the present
+// lines packed frame by frame — in three flat slices, so taking one costs
+// a few allocations, not one per line.
+type Image struct {
+	masks []uint64    // presence mask per frame; no trailing empty frames
+	first []uint32    // index in lines of each frame's first present line
+	lines []arch.Data // present lines, frame by frame in offset order
 }
 
-// LinesStored returns how many non-zero lines the memory holds.
-func (m *Memory) LinesStored() int { return len(m.data) }
+// Image copies the memory's entire functional content. A lost memory's
+// image is empty.
+func (m *Memory) Image() Image {
+	n := len(m.pages)
+	for n > 0 && m.pages[n-1].mask == 0 {
+		n--
+	}
+	img := Image{
+		masks: make([]uint64, n),
+		first: make([]uint32, n),
+		lines: make([]arch.Data, 0, m.stored),
+	}
+	for f, p := range m.pages[:n] {
+		img.masks[f] = p.mask
+		img.first[f] = uint32(len(img.lines))
+		img.lines = append(img.lines, p.lines...)
+	}
+	return img
+}
+
+// frame returns the image's mask and packed lines of frame f.
+func (img Image) frame(f uint64) (uint64, []arch.Data) {
+	if f >= uint64(len(img.masks)) {
+		return 0, nil
+	}
+	mask := img.masks[f]
+	first := int(img.first[f])
+	return mask, img.lines[first : first+bits.OnesCount64(mask)]
+}
+
+// Peek returns the recorded content of the line holding addr.
+func (img Image) Peek(addr uint64) arch.Data {
+	mask, lines := img.frame(addr >> arch.PageShift)
+	bit := lineBit(addr)
+	if mask&bit == 0 {
+		return arch.Data{}
+	}
+	return lines[bits.OnesCount64(mask&(bit-1))]
+}
+
+// Equal reports whether two images hold the same content line for line.
+func (img Image) Equal(other Image) bool {
+	return slices.Equal(img.masks, other.masks) && slices.Equal(img.lines, other.lines)
+}
+
+// FrameEqual reports whether frame f of the memory holds exactly the
+// content img recorded for it. It compares whole frames at once; it is
+// false whenever any line of the frame may be lost, so a caller that then
+// compares line by line through Peek still meets the lost-memory panic.
+func (m *Memory) FrameEqual(f arch.Frame, img Image) bool {
+	lo := uint64(f) << arch.PageShift
+	if m.lost || (m.lostHi > m.lostLo && lo < m.lostHi && lo+arch.PageBytes > m.lostLo) {
+		return false
+	}
+	var p page
+	if uint64(f) < uint64(len(m.pages)) {
+		p = m.pages[f]
+	}
+	mask, lines := img.frame(uint64(f))
+	return p.mask == mask && slices.Equal(p.lines, lines)
+}
 
 // PortBusy reports the cumulative busy time of the data port (utilization
 // reporting).

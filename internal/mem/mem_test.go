@@ -179,13 +179,13 @@ func TestRestoreAfterLoss(t *testing.T) {
 	}
 }
 
-func TestSnapshotIsDeepCopy(t *testing.T) {
+func TestImageIsDeepCopy(t *testing.T) {
 	_, m := newTestMem()
 	m.Poke(0x40, lineData(3))
-	snap := m.Snapshot()
+	img := m.Image()
 	m.Poke(0x40, lineData(4))
-	if snap[0x40] != lineData(3) {
-		t.Fatal("snapshot mutated by later write")
+	if img.Peek(0x40) != lineData(3) {
+		t.Fatal("image mutated by later write")
 	}
 }
 
