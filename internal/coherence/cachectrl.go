@@ -49,7 +49,6 @@ type CacheCtrl struct {
 	l1, l2  *cache.Cache
 	bus     *sim.Resource
 	busCfg  BusConfig
-	net     network.Fabric
 	amap    *arch.AddressMap
 	st      *stats.Stats
 	tracker *Tracker
@@ -58,11 +57,13 @@ type CacheCtrl struct {
 	pending  map[arch.LineAddr]*mshr
 	mshrFree []*mshr // retired MSHRs for reuse (keeps the miss path allocation-free)
 
-	// drainHeadFn is the bound drain continuation, allocated once: a
-	// method value like c.drainHead allocates a fresh closure at every
+	// drainHeadFn, flushIssueFn and pinnedFn are bound once: a method
+	// value like c.drainHead allocates a fresh closure at every
 	// evaluation, and the drain chain schedules one per retired store.
-	drainHeadFn func()
-	sendFree    []*sendOp // retired bus sends for reuse
+	drainHeadFn  func()
+	flushIssueFn func()
+	pinnedFn     func(arch.LineAddr) bool // L2 victim pinning: lines with an MSHR
+	msgs         msgPool                  // free list of the messages this node sends
 
 	// Store buffer (Table 3: 16 pending stores). Entries live in
 	// sb[sbHead:]; popping advances the head instead of reslicing so the
@@ -79,11 +80,15 @@ type CacheCtrl struct {
 	stalledDone func()
 	draining    bool
 
-	// Checkpoint flush state.
+	// Checkpoint flush state. The queue is consumed from flushHead so its
+	// backing array is reused flush after flush; dirtyBuf is the reusable
+	// dirty-slot enumeration buffer.
 	flushQueue    []arch.LineAddr
+	flushHead     int
 	flushInflight int
 	flushDone     func()
 	flushing      map[arch.LineAddr]bool
+	dirtyBuf      []cache.Slot
 
 	// Fills counts data replies received (for traffic cross-checks).
 	Fills uint64
@@ -97,12 +102,14 @@ func NewCacheCtrl(engine *sim.Engine, node arch.NodeID, l1Cfg, l2Cfg cache.Confi
 		engine: engine, node: node,
 		l1: cache.New(engine, l1Cfg), l2: cache.New(engine, l2Cfg),
 		bus: sim.NewResource(engine), busCfg: busCfg,
-		net: net, amap: amap, st: st, tracker: tracker,
+		amap: amap, st: st, tracker: tracker,
 		pending:  make(map[arch.LineAddr]*mshr),
 		sbCap:    16,
 		flushing: make(map[arch.LineAddr]bool),
+		msgs:     msgPool{net: net},
 	}
-	c.drainHeadFn = c.drainHead
+	c.drainHeadFn, c.flushIssueFn = c.drainHead, c.flushIssue
+	c.pinnedFn = func(a arch.LineAddr) bool { return c.pending[a] != nil }
 	return c
 }
 
@@ -115,6 +122,20 @@ func (c *CacheCtrl) Node() arch.NodeID { return c.node }
 // L1 and L2 expose the cache levels (for statistics and tests).
 func (c *CacheCtrl) L1() *cache.Cache { return c.l1 }
 func (c *CacheCtrl) L2() *cache.Cache { return c.l2 }
+
+// DirtyLines counts the node's dirty lines, each once: the L2 Modified
+// lines plus the L1 Modified lines whose L2 copy is not Modified. A line
+// merged into L2 and refilled into L1 is Modified at both levels, so the
+// sum of the two levels' counts would count it twice.
+func (c *CacheCtrl) DirtyLines() int {
+	n := c.l2.DirtyCount()
+	for _, s := range c.l1.AppendDirty(nil) {
+		if c.nodeState(c.l1.Addr(s)) != cache.Modified {
+			n++
+		}
+	}
+	return n
+}
 
 // PendingOps reports in-flight processor-side work: outstanding misses plus
 // buffered stores. The checkpoint sequence waits for zero before flushing.
@@ -141,42 +162,21 @@ func (c *CacheCtrl) home(line arch.LineAddr) arch.NodeID {
 	return c.amap.TouchLine(line, c.node).Node
 }
 
-// sendOp is a pooled deferred bus send: the message rides in the op and
-// fireFn (bound once) injects it into the fabric when the bus transfer
-// completes. Pooling keeps sendToDir — on the path of every coherence
-// message a node emits — from allocating a closure per send.
-type sendOp struct {
-	c      *CacheCtrl
-	msg    network.Message
-	fireFn func()
+// homeMsg addresses a message from this node to the directory at home.
+// The caller fills in the payload and sends it with sendToDir.
+func (c *CacheCtrl) homeMsg(kind msgKind, home arch.NodeID, line arch.LineAddr, bytes int,
+	class stats.Class) *msg {
+	m := c.msgs.get(kind, c.node, home, line, bytes, class)
+	m.dir = c.dirs[home]
+	return m
 }
 
-func (op *sendOp) fire() {
-	c := op.c
-	msg := op.msg
-	op.msg = network.Message{} // release the Deliver closure
-	c.sendFree = append(c.sendFree, op)
-	c.net.Send(msg)
-}
-
-func (c *CacheCtrl) getSendOp() *sendOp {
-	if n := len(c.sendFree); n > 0 {
-		op := c.sendFree[n-1]
-		c.sendFree[n-1] = nil
-		c.sendFree = c.sendFree[:n-1]
-		return op
-	}
-	op := &sendOp{c: c}
-	op.fireFn = op.fire
-	return op
-}
-
-func (c *CacheCtrl) sendToDir(dst arch.NodeID, bytes int, class stats.Class,
-	earliest sim.Time, fn func()) {
-	start := c.bus.ReserveAt(earliest, c.busCfg.Occupancy(bytes))
-	op := c.getSendOp()
-	op.msg = network.Message{Src: c.node, Dst: dst, Bytes: bytes, Class: class, Deliver: fn}
-	c.engine.At(start+c.busCfg.Occupancy(bytes), op.fireFn)
+// sendToDir crosses the node bus (no earlier than earliest) and injects m
+// into the fabric when the transfer completes.
+func (c *CacheCtrl) sendToDir(m *msg, earliest sim.Time) {
+	occ := c.busCfg.Occupancy(m.bytes)
+	start := c.bus.ReserveAt(earliest, occ)
+	c.engine.At(start+occ, m.transmitFn)
 }
 
 // --- processor interface ---
@@ -192,21 +192,21 @@ func (c *CacheCtrl) Load(addr arch.Addr, done func()) {
 
 func (c *CacheCtrl) loadAttempt(line arch.LineAddr, done func()) {
 	t1 := c.l1.Access()
-	if c.l1.Lookup(line) != nil {
+	if c.l1.Lookup(line) != cache.NoSlot {
 		c.st.L1Hits++
 		c.engine.At(t1, done)
 		return
 	}
 	c.st.L1Misses++
 	t2 := c.l2.AccessAt(t1)
-	if l2l := c.l2.Lookup(line); l2l != nil {
+	if l2s := c.l2.Lookup(line); l2s != cache.NoSlot {
 		c.st.L2Hits++
-		c.fillL1From(l2l)
+		c.fillL1From(l2s)
 		c.engine.At(t2, done)
 		return
 	}
 	c.st.L2Misses++
-	c.request(line, reqGETS, t2, done, nil)
+	c.request(line, msgGETS, t2, done, nil)
 }
 
 // Store buffers a write of val to addr. done runs when the store occupies a
@@ -259,29 +259,29 @@ func (c *CacheCtrl) drainHead() {
 	e := c.sb[c.sbHead]
 	line := e.addr.Line()
 	t1 := c.l1.Access()
-	l1l := c.l1.Lookup(line)
-	if l1l == nil {
+	l1s := c.l1.Lookup(line)
+	if l1s == cache.NoSlot {
 		c.st.L1Misses++
 		t2 := c.l2.AccessAt(t1)
-		l2l := c.l2.Lookup(line)
-		if l2l == nil {
+		l2s := c.l2.Lookup(line)
+		if l2s == cache.NoSlot {
 			c.st.L2Misses++
-			c.request(line, reqGETX, t2, nil, c.drainHeadFn)
+			c.request(line, msgGETX, t2, nil, c.drainHeadFn)
 			return
 		}
 		c.st.L2Hits++
-		l1l = c.fillL1From(l2l)
+		l1s = c.fillL1From(l2s)
 		t1 = t2
 	} else {
 		c.st.L1Hits++
 	}
 	if !c.nodeState(line).CanWrite() {
 		// Shared: upgrade needed. (L1 state mirrors L2 for clean lines.)
-		c.request(line, reqUPG, t1, nil, c.drainHeadFn)
+		c.request(line, msgUPG, t1, nil, c.drainHeadFn)
 		return
 	}
 	// Writable: retire the store.
-	c.applyStore(l1l, e)
+	c.applyStore(l1s, e)
 	c.sbPop()
 	c.tracker.Dec()
 	if c.sbStalled {
@@ -295,8 +295,8 @@ func (c *CacheCtrl) drainHead() {
 // nodeState returns the node-level (L2) state of a line; L1 may hold a
 // dirtier copy but never more permission than L2 granted.
 func (c *CacheCtrl) nodeState(line arch.LineAddr) cache.State {
-	if l := c.l2.Probe(line); l != nil {
-		return l.State
+	if s := c.l2.Probe(line); s != cache.NoSlot {
+		return c.l2.State(s)
 	}
 	return cache.Invalid
 }
@@ -304,16 +304,16 @@ func (c *CacheCtrl) nodeState(line arch.LineAddr) cache.State {
 // applyStore writes the 8-byte store value into the L1 copy and marks it
 // Modified. Store values are real bytes: they flow through write-backs,
 // logs and parity, so recovery can be verified end to end.
-func (c *CacheCtrl) applyStore(l1l *cache.Line, e sbEntry) {
+func (c *CacheCtrl) applyStore(l1s cache.Slot, e sbEntry) {
 	off := int(e.addr) & (arch.LineBytes - 1) &^ 7
-	binary.LittleEndian.PutUint64(l1l.Data[off:], e.val)
-	l1l.State = cache.Modified
+	binary.LittleEndian.PutUint64(c.l1.Data(l1s)[off:], e.val)
+	c.l1.SetState(l1s, cache.Modified)
 }
 
 // request sends a coherence request for line to its home, creating or
 // joining the line's MSHR. loadDone (if non-nil) completes from the
 // arriving fill; retry (if non-nil) re-examines the cache at reply time.
-func (c *CacheCtrl) request(line arch.LineAddr, kind reqKind, earliest sim.Time,
+func (c *CacheCtrl) request(line arch.LineAddr, kind msgKind, earliest sim.Time,
 	loadDone, retry func()) {
 	m := c.pending[line]
 	if m == nil {
@@ -326,21 +326,7 @@ func (c *CacheCtrl) request(line arch.LineAddr, kind reqKind, earliest sim.Time,
 	m.add(loadDone, retry)
 	c.tracker.Inc()
 	c.st.Trace.AsyncBegin(trace.MissService, int(c.node), uint64(line))
-	homeNode := c.home(line)
-	dir := c.dirs[homeNode]
-	self := c.node
-	c.sendToDir(homeNode, network.ControlBytes, stats.ClassRead, earliest, func() {
-		switch kind {
-		case reqGETS:
-			dir.GETS(self, line)
-		case reqGETX:
-			dir.GETX(self, line)
-		case reqUPG:
-			dir.UPG(self, line)
-		default:
-			panic("coherence: bad request kind")
-		}
-	})
+	c.sendToDir(c.homeMsg(kind, c.home(line), line, network.ControlBytes, stats.ClassRead), earliest)
 }
 
 func (m *mshr) add(loadDone, retry func()) {
@@ -407,15 +393,15 @@ func (c *CacheCtrl) retireHeadStoreIfReady(line arch.LineAddr) {
 	if !c.nodeState(line).CanWrite() {
 		return
 	}
-	l1l := c.l1.Probe(line)
-	if l1l == nil {
-		l2l := c.l2.Probe(line)
-		if l2l == nil {
+	l1s := c.l1.Probe(line)
+	if l1s == cache.NoSlot {
+		l2s := c.l2.Probe(line)
+		if l2s == cache.NoSlot {
 			return
 		}
-		l1l = c.fillL1From(l2l)
+		l1s = c.fillL1From(l2s)
 	}
-	c.applyStore(l1l, c.sb[c.sbHead])
+	c.applyStore(l1s, c.sb[c.sbHead])
 	c.sbPop()
 	c.tracker.Dec()
 	if c.sbStalled {
@@ -424,33 +410,36 @@ func (c *CacheCtrl) retireHeadStoreIfReady(line arch.LineAddr) {
 	}
 }
 
-// fillL1From copies an L2 line into L1 (same state), handling the L1
-// victim: a dirty L1 victim merges back into its L2 copy (inclusion
-// guarantees the L2 copy exists).
-func (c *CacheCtrl) fillL1From(l2l *cache.Line) *cache.Line {
-	victim, evicted := c.l1.Insert(l2l.Addr, l2l.State, l2l.Data)
-	if evicted && victim.State == cache.Modified {
-		c.mergeDirtyL1(victim)
+// fillL1From copies the line in L2 slot l2s into L1 (same state) and
+// returns its L1 slot. A dirty L1 victim merges back into its L2 copy
+// (inclusion guarantees the L2 copy exists) straight from its slot, before
+// the fill overwrites it.
+func (c *CacheCtrl) fillL1From(l2s cache.Slot) cache.Slot {
+	addr := c.l2.Addr(l2s)
+	s, vaddr, vstate := c.l1.Victim(addr, nil)
+	if vstate == cache.Modified {
+		c.mergeDirtyL1(vaddr, c.l1.Data(s))
 	}
-	return c.l1.Probe(l2l.Addr)
+	c.l1.Fill(s, addr, c.l2.State(l2s), c.l2.Data(l2s))
+	return s
 }
 
-// mergeDirtyL1 folds a dirty L1 line into its L2 copy.
-func (c *CacheCtrl) mergeDirtyL1(l1l cache.Line) {
-	l2l := c.l2.Probe(l1l.Addr)
-	if l2l == nil {
+// mergeDirtyL1 folds a dirty L1 line's data into its L2 copy.
+func (c *CacheCtrl) mergeDirtyL1(addr arch.LineAddr, data *arch.Data) {
+	l2s := c.l2.Probe(addr)
+	if l2s == cache.NoSlot {
 		panic("coherence: dirty L1 line not in L2 (inclusion violated)")
 	}
-	l2l.Data = l1l.Data
-	l2l.State = cache.Modified
+	*c.l2.Data(l2s) = *data
+	c.l2.SetState(l2s, cache.Modified)
 }
 
-// --- protocol handlers (invoked from network Deliver closures) ---
+// --- protocol handlers (run when a cache-bound message arrives) ---
 
 // fill delivers a data reply. State changes are applied at arrival (so
 // later-arriving probes observe them); waiter completion pays the bus
 // transfer time.
-func (c *CacheCtrl) fill(line arch.LineAddr, kind cacheFill, data arch.Data) {
+func (c *CacheCtrl) fill(line arch.LineAddr, kind cacheFill, data *arch.Data) {
 	c.Fills++
 	var st cache.State
 	switch kind {
@@ -461,44 +450,44 @@ func (c *CacheCtrl) fill(line arch.LineAddr, kind cacheFill, data arch.Data) {
 	case cacheFillModified:
 		st = cache.Modified
 	}
-	c.insertL2(line, st, data)
-	if l2l := c.l2.Probe(line); l2l != nil {
-		c.fillL1From(l2l)
-	}
+	c.fillL1From(c.insertL2(line, st, data))
 	c.retireHeadStoreIfReady(line)
 	busT := c.bus.Reserve(c.busCfg.Occupancy(network.DataBytes))
 	c.completeRequest(line, busT+c.busCfg.Occupancy(network.DataBytes))
 }
 
-// insertL2 places a fill into L2, evicting (and writing back or announcing)
-// a victim if needed. Lines with outstanding requests are pinned.
-func (c *CacheCtrl) insertL2(line arch.LineAddr, st cache.State, data arch.Data) {
-	victim, evicted := c.l2.InsertPinned(line, st, data, func(a arch.LineAddr) bool {
-		return c.pending[a] != nil
-	})
-	if !evicted {
-		return
+// insertL2 places a fill into L2 and returns its slot, evicting (and
+// writing back or announcing) a victim if needed. Lines with outstanding
+// requests are pinned.
+func (c *CacheCtrl) insertL2(line arch.LineAddr, st cache.State, data *arch.Data) cache.Slot {
+	s, vaddr, vstate := c.l2.Victim(line, c.pinnedFn)
+	if vstate != cache.Invalid {
+		c.evictL2(s, vaddr, vstate)
 	}
+	c.l2.Fill(s, line, st, data)
+	return s
+}
+
+// evictL2 disposes of the line in L2 slot s before a fill overwrites it.
+func (c *CacheCtrl) evictL2(s cache.Slot, addr arch.LineAddr, st cache.State) {
+	data := c.l2.Data(s)
 	// Back-invalidate the L1 copy (inclusion); it may be dirtier.
-	if l1v, found := c.l1.Invalidate(victim.Addr); found && l1v.State == cache.Modified {
-		victim.Data = l1v.Data
-		victim.State = cache.Modified
+	if l1s := c.l1.Probe(addr); l1s != cache.NoSlot {
+		if c.l1.State(l1s) == cache.Modified {
+			data, st = c.l1.Data(l1s), cache.Modified
+		}
+		c.l1.SetState(l1s, cache.Invalid)
 	}
-	switch victim.State {
+	switch st {
 	case cache.Modified:
-		c.writeBack(victim.Addr, victim.Data, false, false)
+		c.writeBack(addr, data, false, false)
 	case cache.Exclusive:
 		// Clean-exclusive replacement hint, so the home never forwards
-		// an intervention to a copy that is gone.
+		// an intervention to a copy that is gone. The home retires the
+		// tracker count when the hint arrives; there is no acknowledgment.
 		c.tracker.Inc()
-		homeNode := c.home(victim.Addr)
-		dir := c.dirs[homeNode]
-		self := c.node
-		addr := victim.Addr
-		c.sendToDir(homeNode, network.ControlBytes, stats.ClassRead, c.engine.Now(), func() {
-			dir.Repl(self, addr)
-			dir.tracker.Dec() // hint consumed; no acknowledgment
-		})
+		c.sendToDir(c.homeMsg(msgRepl, c.home(addr), addr, network.ControlBytes, stats.ClassRead),
+			c.engine.Now())
 	case cache.Shared:
 		// Silent: the directory tolerates stale sharers.
 	}
@@ -506,25 +495,22 @@ func (c *CacheCtrl) insertL2(line arch.LineAddr, st cache.State, data arch.Data)
 
 // writeBack sends a dirty line to its home. keep=true retains a clean
 // exclusive copy (checkpoint flush).
-func (c *CacheCtrl) writeBack(line arch.LineAddr, data arch.Data, ckp, keep bool) {
+func (c *CacheCtrl) writeBack(line arch.LineAddr, data *arch.Data, ckp, keep bool) {
 	c.tracker.Inc()
-	homeNode := c.home(line)
-	dir := c.dirs[homeNode]
-	self := c.node
-	c.sendToDir(homeNode, network.DataBytes, wbClass(ckp), c.engine.Now(), func() {
-		dir.WB(self, line, data, ckp, keep)
-	})
+	m := c.homeMsg(msgWB, c.home(line), line, network.DataBytes, wbClass(ckp))
+	m.data, m.ckp, m.keep = *data, ckp, keep
+	c.sendToDir(m, c.engine.Now())
 }
 
 // upgAck grants the pending upgrade.
 func (c *CacheCtrl) upgAck(line arch.LineAddr) {
-	if l2l := c.l2.Probe(line); l2l != nil {
-		l2l.State = cache.Exclusive // store retirement will dirty it
-	} else {
+	l2s := c.l2.Probe(line)
+	if l2s == cache.NoSlot {
 		panic("coherence: upgrade ack for absent line")
 	}
-	if l1l := c.l1.Probe(line); l1l != nil {
-		l1l.State = cache.Exclusive
+	c.l2.SetState(l2s, cache.Exclusive) // store retirement will dirty it
+	if l1s := c.l1.Probe(line); l1s != cache.NoSlot {
+		c.l1.SetState(l1s, cache.Exclusive)
 	}
 	c.retireHeadStoreIfReady(line)
 	busT := c.bus.Reserve(c.busCfg.Occupancy(network.ControlBytes))
@@ -538,12 +524,8 @@ func (c *CacheCtrl) upgAck(line arch.LineAddr) {
 func (c *CacheCtrl) wbAck(line arch.LineAddr) {
 	if c.flushing[line] {
 		delete(c.flushing, line)
-		if l2l := c.l2.Probe(line); l2l != nil && l2l.State == cache.Modified {
-			l2l.State = cache.Exclusive
-		}
-		if l1l := c.l1.Probe(line); l1l != nil && l1l.State == cache.Modified {
-			l1l.State = cache.Exclusive
-		}
+		cleanIfModified(c.l2, line)
+		cleanIfModified(c.l1, line)
 		c.flushInflight--
 		c.tracker.Dec()
 		c.flushIssue()
@@ -552,63 +534,64 @@ func (c *CacheCtrl) wbAck(line arch.LineAddr) {
 	c.tracker.Dec()
 }
 
+// cleanIfModified downgrades a Modified copy of line to clean exclusive.
+func cleanIfModified(l *cache.Cache, line arch.LineAddr) {
+	if s := l.Probe(line); s != cache.NoSlot && l.State(s) == cache.Modified {
+		l.SetState(s, cache.Exclusive)
+	}
+}
+
 // probe answers an intervention from the home: inv=false downgrades to
 // Shared (read fetch), inv=true invalidates (exclusive fetch). The freshest
 // copy (L1 if dirty there) is returned.
 func (c *CacheCtrl) probe(line arch.LineAddr, inv bool, homeNode arch.NodeID) {
-	l2l := c.l2.Probe(line)
-	l1l := c.l1.Probe(line)
-	if l2l == nil && l1l != nil {
+	l2s := c.l2.Probe(line)
+	l1s := c.l1.Probe(line)
+	if l2s == cache.NoSlot && l1s != cache.NoSlot {
 		panic("coherence: L1 line not in L2 (inclusion violated)")
 	}
-	found := l2l != nil
-	var data arch.Data
-	dirty := false
-	if found {
-		data = l2l.Data
-		dirty = l2l.State == cache.Modified
-		if l1l != nil && l1l.State == cache.Modified {
-			// The L1 holds the freshest bytes; fold them into the L2
-			// copy, which survives the downgrade as a clean line.
-			data, dirty = l1l.Data, true
-			l2l.Data = l1l.Data
-		}
-		if inv {
-			c.l1.Invalidate(line)
-			c.l2.Invalidate(line)
-		} else {
-			if l1l != nil {
-				l1l.State = cache.Shared
-			}
-			l2l.State = cache.Shared
-		}
-	}
+	found := l2s != cache.NoSlot
 	bytes := network.ControlBytes
 	if found {
 		bytes = network.DataBytes
 	}
-	t := c.l2.Access()
-	dir := c.dirs[homeNode]
-	self := c.node
-	c.sendToDir(homeNode, bytes, stats.ClassRead, t, func() {
-		dir.fetchResp(self, line, found, dirty, data)
-	})
+	m := c.homeMsg(msgFetchResp, homeNode, line, bytes, stats.ClassRead)
+	m.found = found
+	if found {
+		d2 := c.l2.Data(l2s)
+		m.dirty = c.l2.State(l2s) == cache.Modified
+		if l1s != cache.NoSlot && c.l1.State(l1s) == cache.Modified {
+			// The L1 holds the freshest bytes; fold them into the L2
+			// copy, which survives the downgrade as a clean line.
+			*d2 = *c.l1.Data(l1s)
+			m.dirty = true
+		}
+		m.data = *d2
+		next := cache.Shared
+		if inv {
+			next = cache.Invalid
+		}
+		if l1s != cache.NoSlot {
+			c.l1.SetState(l1s, next)
+		}
+		c.l2.SetState(l2s, next)
+	} else {
+		m.dirty, m.data = false, arch.Data{}
+	}
+	c.sendToDir(m, c.l2.Access())
 }
 
 // inval drops a shared copy and acknowledges, even when the copy was
 // already silently evicted (the directory's sharer list may be stale).
 func (c *CacheCtrl) inval(line arch.LineAddr, homeNode arch.NodeID) {
-	if l, found := c.l1.Invalidate(line); found && l.State == cache.Modified {
+	if c.l1.Drop(line) == cache.Modified {
 		panic("coherence: invalidation of dirty L1 line")
 	}
-	if l, found := c.l2.Invalidate(line); found && l.State == cache.Modified {
+	if c.l2.Drop(line) == cache.Modified {
 		panic("coherence: invalidation of dirty L2 line")
 	}
-	t := c.l2.Access()
-	dir := c.dirs[homeNode]
-	c.sendToDir(homeNode, network.ControlBytes, stats.ClassRead, t, func() {
-		dir.invAck(line)
-	})
+	c.sendToDir(c.homeMsg(msgInvAck, homeNode, line, network.ControlBytes, stats.ClassRead),
+		c.l2.Access())
 }
 
 // --- checkpoint support ---
@@ -628,19 +611,19 @@ func (c *CacheCtrl) FlushDirty(done func()) {
 	}
 	// Fold dirty L1 lines into L2 first, paying one L1+L2 access each.
 	t := c.engine.Now()
-	for _, l1l := range c.l1.DirtyLines() {
-		c.mergeDirtyL1(l1l)
-		if p := c.l1.Probe(l1l.Addr); p != nil {
-			p.State = cache.Exclusive
-		}
+	c.dirtyBuf = c.l1.AppendDirty(c.dirtyBuf[:0])
+	for _, s := range c.dirtyBuf {
+		c.mergeDirtyL1(c.l1.Addr(s), c.l1.Data(s))
+		c.l1.SetState(s, cache.Exclusive)
 		t = c.l2.AccessAt(c.l1.Access())
 	}
-	c.flushQueue = c.flushQueue[:0]
-	for _, l2l := range c.l2.DirtyLines() {
-		c.flushQueue = append(c.flushQueue, l2l.Addr)
+	c.flushQueue, c.flushHead = c.flushQueue[:0], 0
+	c.dirtyBuf = c.l2.AppendDirty(c.dirtyBuf[:0])
+	for _, s := range c.dirtyBuf {
+		c.flushQueue = append(c.flushQueue, c.l2.Addr(s))
 	}
 	c.flushDone = done
-	c.engine.At(t, c.flushIssue)
+	c.engine.At(t, c.flushIssueFn)
 }
 
 // flushWindow bounds the write-backs a node keeps in flight during a flush
@@ -652,41 +635,30 @@ func (c *CacheCtrl) flushIssue() {
 	if c.flushDone == nil {
 		return
 	}
-	for c.flushInflight < flushWindow && len(c.flushQueue) > 0 {
-		line := c.flushQueue[0]
-		c.flushQueue = c.flushQueue[1:]
-		l2l := c.l2.Probe(line)
-		if l2l == nil || l2l.State != cache.Modified {
+	for c.flushInflight < flushWindow && c.flushHead < len(c.flushQueue) {
+		line := c.flushQueue[c.flushHead]
+		c.flushHead++
+		l2s := c.l2.Probe(line)
+		if l2s == cache.NoSlot || c.l2.State(l2s) != cache.Modified {
 			continue // lost to an intervention since enumeration
 		}
-		data := l2l.Data
-		if l1l := c.l1.Probe(line); l1l != nil && l1l.State == cache.Modified {
+		data := c.l2.Data(l2s)
+		if l1s := c.l1.Probe(line); l1s != cache.NoSlot && c.l1.State(l1s) == cache.Modified {
 			// Dirtied again after the merge. Ship the fresh data and fold
 			// it into L2 too: wbAck downgrades both levels to clean, so a
 			// stale L2 copy here would survive as clean-but-wrong.
-			data = l1l.Data
-			l2l.Data = l1l.Data
+			*data = *c.l1.Data(l1s)
 		}
 		c.flushing[line] = true
 		c.flushInflight++
-		c.tracker.Inc()
 		c.l2.Access() // enumeration/tag access
-		c.writeBackFlush(line, data)
+		c.writeBack(line, data, true, true)
 	}
-	if c.flushInflight == 0 && len(c.flushQueue) == 0 {
+	if c.flushInflight == 0 && c.flushHead == len(c.flushQueue) {
 		done := c.flushDone
 		c.flushDone = nil
 		done()
 	}
-}
-
-func (c *CacheCtrl) writeBackFlush(line arch.LineAddr, data arch.Data) {
-	homeNode := c.home(line)
-	dir := c.dirs[homeNode]
-	self := c.node
-	c.sendToDir(homeNode, network.DataBytes, stats.ClassCkpWB, c.engine.Now(), func() {
-		dir.WB(self, line, data, true, true)
-	})
 }
 
 // InvalidateAll drops every cached line on this node. Rollback recovery
@@ -715,7 +687,7 @@ func (c *CacheCtrl) Reset() {
 	c.sbStalled = false
 	c.stalledDone = nil
 	c.draining = false
-	c.flushQueue = nil
+	c.flushQueue, c.flushHead = nil, 0
 	c.flushInflight = 0
 	c.flushDone = nil
 	c.flushing = make(map[arch.LineAddr]bool)

@@ -95,6 +95,16 @@ func (c *cluster) memLine(line arch.LineAddr) arch.Data {
 	return c.mems[phys.Node].Peek(phys.MemAddr())
 }
 
+// probeLine returns a copy of the level's entry for line, or nil if the
+// line is absent.
+func probeLine(l *cache.Cache, line arch.LineAddr) *cache.Line {
+	s := l.Probe(line)
+	if s == cache.NoSlot {
+		return nil
+	}
+	return &cache.Line{Addr: line, State: l.State(s), Data: *l.Data(s)}
+}
+
 // lineWith returns the expected content of a line after an 8-byte store of
 // val at byte offset off.
 func lineWith(off int, val uint64) arch.Data {

@@ -71,10 +71,10 @@ type dirEntry struct {
 	busy    bool
 	waiting []pendingReq
 
-	// Active-transaction continuations. ownerWait is non-nil while the
-	// transaction waits for data from the owner (a crossing WB/REPL from
-	// that owner is consumed by it); invWait counts outstanding
-	// invalidation acknowledgments.
+	// Active-transaction continuations, bound methods of the line's txn
+	// record. ownerWait is non-nil while the transaction waits for data
+	// from the owner (a crossing WB/REPL from that owner is consumed by
+	// it); invWait counts outstanding invalidation acknowledgments.
 	ownerWait     func(ownerData)
 	ownerWaitNode arch.NodeID
 	// staleProbeResp counts probe responses that are still in flight but
@@ -100,7 +100,6 @@ type DirCtrl struct {
 	node    arch.NodeID
 	cfg     DirConfig
 	mem     *mem.Memory
-	net     network.Fabric
 	amap    *arch.AddressMap
 	st      *stats.Stats
 	tracker *Tracker
@@ -109,6 +108,9 @@ type DirCtrl struct {
 	caches  []*CacheCtrl
 	pipe    *sim.Resource
 	entries map[arch.LineAddr]*dirEntry
+
+	msgs    msgPool // free list of the messages this controller sends
+	txnFree []*txn  // free list of transaction records
 
 	// DroppedWBKeep counts checkpoint write-backs that arrived after
 	// ownership had already migrated (benign race; the data traveled
@@ -121,10 +123,11 @@ type DirCtrl struct {
 func NewDirCtrl(engine *sim.Engine, node arch.NodeID, cfg DirConfig, m *mem.Memory,
 	net network.Fabric, amap *arch.AddressMap, st *stats.Stats, tracker *Tracker) *DirCtrl {
 	return &DirCtrl{
-		engine: engine, node: node, cfg: cfg, mem: m, net: net, amap: amap,
+		engine: engine, node: node, cfg: cfg, mem: m, amap: amap,
 		st: st, tracker: tracker,
 		pipe:    sim.NewResource(engine),
 		entries: make(map[arch.LineAddr]*dirEntry),
+		msgs:    msgPool{net: net},
 	}
 }
 
@@ -174,21 +177,24 @@ func (d *DirCtrl) dispatch(line arch.LineAddr, pr pendingReq) {
 	}
 	e.busy = true
 	d.tracker.Inc()
-	d.run(line, pr)
+	d.run(e, line, pr)
 }
 
-func (d *DirCtrl) run(line arch.LineAddr, pr pendingReq) {
+// run starts pr on a transaction record.
+func (d *DirCtrl) run(e *dirEntry, line arch.LineAddr, pr pendingReq) {
+	t := d.newTxn()
+	t.e, t.line, t.kind, t.req, t.ckp = e, line, pr.kind, pr.req, pr.ckp
 	switch pr.kind {
 	case reqGETS:
-		d.doGETS(pr.req, line)
+		t.gets()
 	case reqGETX:
-		d.doGETX(pr.req, line)
+		t.getx()
 	case reqUPG:
-		d.doUPG(pr.req, line)
+		t.upg()
 	case reqWB:
-		d.doWB(pr.req, line, pr.data, pr.ckp, pr.keep)
+		t.wb(&pr.data, pr.keep)
 	case reqRepl:
-		d.doRepl(pr.req, line)
+		t.repl()
 	}
 }
 
@@ -206,10 +212,13 @@ func (d *DirCtrl) release(line arch.LineAddr) {
 	d.tracker.Dec()
 	if len(e.waiting) > 0 {
 		next := e.waiting[0]
-		e.waiting = e.waiting[1:]
+		// Shift down rather than reslice, so the queue keeps its backing
+		// array (queues are a few requests long).
+		n := copy(e.waiting, e.waiting[1:])
+		e.waiting = e.waiting[:n]
 		e.busy = true
 		d.tracker.Inc()
-		d.run(line, next)
+		d.run(e, line, next)
 	}
 }
 
@@ -221,10 +230,13 @@ func (d *DirCtrl) phys(line arch.LineAddr) arch.PhysLine {
 	return p
 }
 
-// sendToCache delivers a protocol action at dst's cache controller after
-// one controller-pipeline pass and the network latency.
-func (d *DirCtrl) sendToCache(dst arch.NodeID, bytes int, class stats.Class, fn func()) {
-	d.net.Send(network.Message{Src: d.node, Dst: dst, Bytes: bytes, Class: class, Deliver: fn})
+// cacheMsg addresses a message from this home to dst's cache controller.
+// The caller fills in the payload and transmits it.
+func (d *DirCtrl) cacheMsg(kind msgKind, dst arch.NodeID, line arch.LineAddr, bytes int,
+	class stats.Class) *msg {
+	m := d.msgs.get(kind, d.node, dst, line, bytes, class)
+	m.cache = d.caches[dst]
+	return m
 }
 
 // feedOwnerWait hands the waiting transaction its answer. When the answer
@@ -240,54 +252,25 @@ func (d *DirCtrl) feedOwnerWait(line arch.LineAddr, od ownerData) {
 	w(od)
 }
 
-// --- request entry points (called from network Deliver closures) ---
+// --- message handlers (run when a home-bound message leaves the pipeline) ---
 
-// GETS handles a read miss request from node req.
-func (d *DirCtrl) GETS(req arch.NodeID, line arch.LineAddr) {
-	d.engine.At(d.Occupy(), func() {
-		d.dispatch(line, pendingReq{kind: reqGETS, req: req})
-	})
-}
-
-// GETX handles a read-exclusive (write miss) request from node req.
-func (d *DirCtrl) GETX(req arch.NodeID, line arch.LineAddr) {
-	d.engine.At(d.Occupy(), func() {
-		d.dispatch(line, pendingReq{kind: reqGETX, req: req})
-	})
-}
-
-// UPG handles an upgrade (write hit on a shared line) request.
-func (d *DirCtrl) UPG(req arch.NodeID, line arch.LineAddr) {
-	d.engine.At(d.Occupy(), func() {
-		d.dispatch(line, pendingReq{kind: reqUPG, req: req})
-	})
-}
-
-// WB handles a write-back. keep=false is an eviction (the owner gives the
-// line up); keep=true is a checkpoint-flush write-back where the owner
-// retains a clean exclusive copy. ckp marks checkpoint traffic.
-func (d *DirCtrl) WB(req arch.NodeID, line arch.LineAddr, data arch.Data, ckp, keep bool) {
-	d.engine.At(d.Occupy(), func() { d.wbArrived(req, line, data, ckp, keep) })
-}
-
-func (d *DirCtrl) wbArrived(req arch.NodeID, line arch.LineAddr, data arch.Data, ckp, keep bool) {
+// wbArrived handles a write-back. keep=false is an eviction (the owner
+// gives the line up); keep=true is a checkpoint-flush write-back where the
+// owner retains a clean exclusive copy. ckp marks checkpoint traffic.
+func (d *DirCtrl) wbArrived(req arch.NodeID, line arch.LineAddr, data *arch.Data, ckp, keep bool) {
 	e := d.entry(line)
 	// A write-back crossing an intervention in flight is consumed by the
 	// waiting transaction as the owner's answer. The evictor is still
 	// acknowledged (it tracks the write-back as outstanding).
 	if e.ownerWait != nil && e.ownerWaitNode == req && !keep {
 		d.ackWB(req, line, ckp)
-		d.feedOwnerWait(line, ownerData{kind: evWB, dirty: true, data: data, ckp: ckp})
+		d.feedOwnerWait(line, ownerData{kind: evWB, dirty: true, data: *data, ckp: ckp})
 		return
 	}
-	d.dispatch(line, pendingReq{kind: reqWB, req: req, data: data, ckp: ckp, keep: keep})
+	d.dispatch(line, pendingReq{kind: reqWB, req: req, data: *data, ckp: ckp, keep: keep})
 }
 
-// Repl handles a clean-exclusive replacement hint.
-func (d *DirCtrl) Repl(req arch.NodeID, line arch.LineAddr) {
-	d.engine.At(d.Occupy(), func() { d.replArrived(req, line) })
-}
-
+// replArrived handles a clean-exclusive replacement hint.
 func (d *DirCtrl) replArrived(req arch.NodeID, line arch.LineAddr) {
 	e := d.entry(line)
 	if e.ownerWait != nil && e.ownerWaitNode == req {
@@ -297,12 +280,9 @@ func (d *DirCtrl) replArrived(req arch.NodeID, line arch.LineAddr) {
 	d.dispatch(line, pendingReq{kind: reqRepl, req: req})
 }
 
-// fetchResp delivers an intervention answer to the waiting transaction.
-func (d *DirCtrl) fetchResp(from arch.NodeID, line arch.LineAddr, found, dirty bool, data arch.Data) {
-	d.engine.At(d.Occupy(), func() { d.fetchRespArrived(from, line, found, dirty, data) })
-}
-
-func (d *DirCtrl) fetchRespArrived(from arch.NodeID, line arch.LineAddr, found, dirty bool, data arch.Data) {
+// fetchRespArrived delivers an intervention answer to the waiting
+// transaction.
+func (d *DirCtrl) fetchRespArrived(from arch.NodeID, line arch.LineAddr, found, dirty bool, data *arch.Data) {
 	e := d.entry(line)
 	if e.ownerWait == nil || e.ownerWaitNode != from {
 		if e.staleProbeResp > 0 && !found {
@@ -314,7 +294,7 @@ func (d *DirCtrl) fetchRespArrived(from arch.NodeID, line arch.LineAddr, found, 
 		panic("coherence: unexpected fetch response")
 	}
 	if found {
-		d.feedOwnerWait(line, ownerData{kind: evFetchResp, dirty: dirty, data: data})
+		d.feedOwnerWait(line, ownerData{kind: evFetchResp, dirty: dirty, data: *data})
 		return
 	}
 	// The owner evicted concurrently. Its WB or Repl either already sits
@@ -341,12 +321,8 @@ func (d *DirCtrl) fetchRespArrived(from arch.NodeID, line arch.LineAddr, found, 
 	// consumed on arrival (this response itself resolves nothing).
 }
 
-// invAck delivers one invalidation acknowledgment to the waiting
+// invAckArrived delivers one invalidation acknowledgment to the waiting
 // transaction.
-func (d *DirCtrl) invAck(line arch.LineAddr) {
-	d.engine.At(d.Occupy(), func() { d.invAckArrived(line) })
-}
-
 func (d *DirCtrl) invAckArrived(line arch.LineAddr) {
 	e := d.entry(line)
 	if e.invWait <= 0 {
@@ -360,176 +336,219 @@ func (d *DirCtrl) invAckArrived(line arch.LineAddr) {
 	}
 }
 
-// --- transaction bodies (run with the entry busy) ---
+// --- transactions (run with the entry busy) ---
 
-func (d *DirCtrl) doGETS(req arch.NodeID, line arch.LineAddr) {
-	if d.flow != nil {
-		d.flow.ObserveRead(req, line)
+// txn is the active transaction of one busy directory entry, from dispatch
+// to release. The home serializes each line, so a busy entry has exactly
+// one record. Like msg, records are pooled per controller and their
+// continuations — the memory read feeding a data reply, the owner's answer
+// to an intervention, the last invalidation acknowledgment, the memory
+// write's acknowledgment and completion, the write-intent release — are
+// method values bound once, so a transaction allocates nothing in the
+// steady state. A record abandoned by a fail-stop freeze is never
+// returned to its list.
+type txn struct {
+	d     *DirCtrl
+	e     *dirEntry
+	line  arch.LineAddr
+	kind  reqKind // reqGETS, reqGETX (also an upgrade fallen back), reqUPG, reqWB, reqRepl
+	req   arch.NodeID
+	ckp   bool        // reqWB: checkpoint traffic
+	owner arch.NodeID // reqGETS on an exclusive line: the previous owner
+	fill  cacheFill   // the permission a pending memory read will grant
+	step  txnStep     // what follows the pending memory read's reply
+
+	memReadFn    func(arch.Data) // replyFromMemory's read completed
+	ownerFn      func(ownerData) // the owner answered (or its eviction crossed)
+	invDoneFn    func()          // every invalidation is acknowledged
+	ackFn        func()          // writeMemory: the write-back may be acknowledged
+	writtenFn    func()          // writeMemory: the write sequence is complete
+	memWrittenFn func()          // baseline writeMemory: the DRAM write completed
+	releaseFn    func()          // writeIntent: the entry may leave its transient state
+}
+
+// txnStep selects what a transaction does once the memory read behind its
+// data reply completes.
+type txnStep uint8
+
+const (
+	stepGrantExclusive txnStep = iota // read: the requester becomes the clean exclusive owner
+	stepAddSharer                     // read: the requester joins the sharers
+	stepGrantWrite                    // read-exclusive: the requester becomes the owner; write intent follows
+)
+
+func (d *DirCtrl) newTxn() *txn {
+	if n := len(d.txnFree); n > 0 {
+		t := d.txnFree[n-1]
+		d.txnFree[n-1] = nil
+		d.txnFree = d.txnFree[:n-1]
+		return t
 	}
-	e := d.entry(line)
+	t := &txn{d: d}
+	t.memReadFn, t.ownerFn, t.invDoneFn = t.memRead, t.ownerAnswer, t.invDone
+	t.ackFn, t.writtenFn, t.memWrittenFn, t.releaseFn = t.ack, t.written, t.memWritten, t.release
+	return t
+}
+
+// release ends the transaction: the record rejoins the free list before
+// the entry is released, so the next queued request reuses it.
+func (t *txn) release() {
+	d, line := t.d, t.line
+	t.e = nil
+	d.txnFree = append(d.txnFree, t)
+	d.release(line)
+}
+
+func (t *txn) gets() {
+	d, e := t.d, t.e
+	if d.flow != nil {
+		d.flow.ObserveRead(t.req, t.line)
+	}
 	switch e.state {
 	case dirUncached:
-		d.replyFromMemory(req, line, cacheFillExclusive, func() {
-			e.state, e.owner = dirExcl, req
-			d.release(line)
-		})
+		t.replyFromMemory(cacheFillExclusive, stepGrantExclusive)
 	case dirShared:
-		d.replyFromMemory(req, line, cacheFillShared, func() {
-			e.sharers.Add(req)
-			d.release(line)
-		})
+		t.replyFromMemory(cacheFillShared, stepAddSharer)
 	case dirExcl:
-		if e.owner == req {
+		if e.owner == t.req {
 			panic("coherence: GETS from current owner")
 		}
-		owner := e.owner
-		d.probeOwner(owner, line, false, func(od ownerData) {
-			switch od.kind {
-			case evFetchResp:
-				d.reply(req, line, cacheFillShared, od.data)
-				e.state = dirShared
-				e.sharers.Clear()
-				e.sharers.Add(owner)
-				e.sharers.Add(req)
-				if od.dirty {
-					// Sharing write-back: the owner's dirty data is
-					// written to memory — a memory write, so ReVive
-					// logs and updates parity (section 3.2.1).
-					d.writeMemory(line, od.data, false, func() {}, func() {
-						d.release(line)
-					})
-					return
-				}
-				d.release(line)
-			case evWB:
-				// Owner gave the line up; requester becomes exclusive.
-				d.reply(req, line, cacheFillExclusive, od.data)
-				e.state, e.owner = dirExcl, req
-				d.writeMemory(line, od.data, od.ckp, func() {}, func() {
-					d.release(line)
-				})
-			case evRepl:
-				d.replyFromMemory(req, line, cacheFillExclusive, func() {
-					e.state, e.owner = dirExcl, req
-					d.release(line)
-				})
-			}
-		})
+		t.owner = e.owner
+		t.probeOwner(e.owner, false)
 	}
 }
 
-func (d *DirCtrl) doGETX(req arch.NodeID, line arch.LineAddr) {
+func (t *txn) getx() {
+	d, e := t.d, t.e
 	if d.flow != nil {
-		d.flow.ObserveWrite(req, line)
+		d.flow.ObserveWrite(t.req, t.line)
 	}
-	e := d.entry(line)
 	switch e.state {
 	case dirUncached:
-		d.replyFromMemory(req, line, cacheFillModified, func() {
-			e.state, e.owner = dirExcl, req
-			d.writeIntent(line)
-		})
+		t.replyFromMemory(cacheFillModified, stepGrantWrite)
 	case dirShared:
-		d.invalidateSharers(line, e.sharers.CopyWithout(req), func() {
-			d.replyFromMemory(req, line, cacheFillModified, func() {
-				e.state, e.owner = dirExcl, req
-				e.sharers.Clear()
-				d.writeIntent(line)
-			})
-		})
+		t.invalidateSharers(e.sharers.CopyWithout(t.req))
 	case dirExcl:
-		if e.owner == req {
+		if e.owner == t.req {
 			panic("coherence: GETX from current owner")
 		}
-		d.probeOwner(e.owner, line, true, func(od ownerData) {
-			switch od.kind {
-			case evFetchResp:
-				// Ownership transfer: memory is not written. The
-				// checkpoint content stays in memory; it was logged
-				// when the first writer took ownership, or will be
-				// logged at the eventual write-back (Figure 5(b)).
-				d.reply(req, line, cacheFillModified, od.data)
-				e.state, e.owner = dirExcl, req
-				d.writeIntent(line)
-			case evWB:
-				d.reply(req, line, cacheFillModified, od.data)
-				e.state, e.owner = dirExcl, req
-				d.writeMemory(line, od.data, od.ckp, func() {}, func() {
-					d.writeIntent(line)
-				})
-			case evRepl:
-				d.replyFromMemory(req, line, cacheFillModified, func() {
-					e.state, e.owner = dirExcl, req
-					d.writeIntent(line)
-				})
-			}
-		})
+		t.probeOwner(e.owner, true)
 	}
 }
 
-func (d *DirCtrl) doUPG(req arch.NodeID, line arch.LineAddr) {
-	e := d.entry(line)
-	if e.state != dirShared || !e.sharers.Has(req) {
+func (t *txn) upg() {
+	d, e := t.d, t.e
+	if e.state != dirShared || !e.sharers.Has(t.req) {
 		// The requester's shared copy is gone (invalidated by an
 		// earlier-serialized write): fall back to a full read-exclusive.
-		d.doGETX(req, line)
+		t.kind = reqGETX
+		t.getx()
 		return
 	}
 	if d.flow != nil {
-		// The fallback above reaches doGETX, which observes for itself;
+		// The fallback above reaches getx, which observes for itself;
 		// only the successful upgrade is recorded here.
-		d.flow.ObserveWrite(req, line)
+		d.flow.ObserveWrite(t.req, t.line)
 	}
-	d.invalidateSharers(line, e.sharers.CopyWithout(req), func() {
-		// Upgrade permission is granted immediately (Figure 5(a)); no
-		// data reply is needed.
-		e.state, e.owner = dirExcl, req
-		e.sharers.Clear()
-		d.sendToCache(req, network.ControlBytes, stats.ClassRead, func() {
-			d.caches[req].upgAck(line)
-		})
-		d.writeIntent(line)
-	})
+	t.invalidateSharers(e.sharers.CopyWithout(t.req))
 }
 
-func (d *DirCtrl) doWB(req arch.NodeID, line arch.LineAddr, data arch.Data, ckp, keep bool) {
-	e := d.entry(line)
-	if e.state != dirExcl || e.owner != req {
+// invDone continues a read-exclusive or upgrade once every other sharer
+// has acknowledged its invalidation.
+func (t *txn) invDone() {
+	if t.kind == reqGETX {
+		t.replyFromMemory(cacheFillModified, stepGrantWrite)
+		return
+	}
+	// Upgrade permission is granted immediately (Figure 5(a)); no data
+	// reply is needed.
+	d, e := t.d, t.e
+	e.state, e.owner = dirExcl, t.req
+	e.sharers.Clear()
+	d.cacheMsg(msgUpgAck, t.req, t.line, network.ControlBytes, stats.ClassRead).transmit()
+	t.writeIntent()
+}
+
+// ownerAnswer continues a read or read-exclusive of an exclusively held
+// line with the owner's answer, or with the owner's crossing eviction.
+func (t *txn) ownerAnswer(od ownerData) {
+	d, e := t.d, t.e
+	if t.kind == reqGETS {
+		switch od.kind {
+		case evFetchResp:
+			d.reply(t.req, t.line, cacheFillShared, &od.data)
+			e.state = dirShared
+			e.sharers.Clear()
+			e.sharers.Add(t.owner)
+			e.sharers.Add(t.req)
+			if od.dirty {
+				// Sharing write-back: the owner's dirty data is written
+				// to memory — a memory write, so ReVive logs and updates
+				// parity (section 3.2.1).
+				t.writeMemory(&od.data, false)
+				return
+			}
+			t.release()
+		case evWB:
+			// Owner gave the line up; requester becomes exclusive.
+			d.reply(t.req, t.line, cacheFillExclusive, &od.data)
+			e.state, e.owner = dirExcl, t.req
+			t.writeMemory(&od.data, od.ckp)
+		case evRepl:
+			t.replyFromMemory(cacheFillExclusive, stepGrantExclusive)
+		}
+		return
+	}
+	switch od.kind {
+	case evFetchResp:
+		// Ownership transfer: memory is not written. The checkpoint
+		// content stays in memory; it was logged when the first writer
+		// took ownership, or will be logged at the eventual write-back
+		// (Figure 5(b)).
+		d.reply(t.req, t.line, cacheFillModified, &od.data)
+		e.state, e.owner = dirExcl, t.req
+		t.writeIntent()
+	case evWB:
+		d.reply(t.req, t.line, cacheFillModified, &od.data)
+		e.state, e.owner = dirExcl, t.req
+		t.writeMemory(&od.data, od.ckp)
+	case evRepl:
+		t.replyFromMemory(cacheFillModified, stepGrantWrite)
+	}
+}
+
+func (t *txn) wb(data *arch.Data, keep bool) {
+	d, e := t.d, t.e
+	if e.state != dirExcl || e.owner != t.req {
 		if keep {
 			// Ownership migrated while the checkpoint write-back was
 			// in flight; the data traveled with the intervention.
 			d.DroppedWBKeep++
-			d.ackWB(req, line, ckp)
-			d.release(line)
+			d.ackWB(t.req, t.line, t.ckp)
+			t.release()
 			return
 		}
 		panic(fmt.Sprintf("coherence: WB from non-owner (state=%d owner=%d req=%d)",
-			e.state, e.owner, req))
+			e.state, e.owner, t.req))
 	}
 	if !keep {
 		e.state, e.owner = dirUncached, 0
 	}
-	d.writeMemory(line, data, ckp, func() {
-		// Acknowledgment point: after the data write (Figure 4), delayed
-		// by logging in the not-yet-logged case (Figure 5(b)).
-		d.ackWB(req, line, ckp)
-	}, func() {
-		d.release(line)
-	})
+	t.writeMemory(data, t.ckp)
 }
 
-func (d *DirCtrl) doRepl(req arch.NodeID, line arch.LineAddr) {
-	e := d.entry(line)
+func (t *txn) repl() {
+	e := t.e
 	switch {
-	case e.state == dirExcl && e.owner == req:
+	case e.state == dirExcl && e.owner == t.req:
 		e.state, e.owner = dirUncached, 0
 	case e.state == dirShared:
-		e.sharers.Remove(req)
+		e.sharers.Remove(t.req)
 		if e.sharers.Empty() {
 			e.state = dirUncached
 		}
 	}
-	d.release(line)
+	t.release()
 }
 
 // --- building blocks ---
@@ -542,85 +561,123 @@ func wbClass(ckp bool) stats.Class {
 }
 
 func (d *DirCtrl) ackWB(req arch.NodeID, line arch.LineAddr, ckp bool) {
-	d.sendToCache(req, network.ControlBytes, wbClass(ckp), func() {
-		d.caches[req].wbAck(line)
-	})
-}
-
-// replyFromMemory reads the line from local memory and sends it to req,
-// then runs then (at reply time; the entry's fate is the caller's concern).
-func (d *DirCtrl) replyFromMemory(req arch.NodeID, line arch.LineAddr, fill cacheFill, then func()) {
-	d.st.Mem(stats.ClassRead)
-	d.mem.Read(d.phys(line).MemAddr(), func(data arch.Data) {
-		d.reply(req, line, fill, data)
-		then()
-	})
+	d.cacheMsg(msgWBAck, req, line, network.ControlBytes, wbClass(ckp)).transmit()
 }
 
 // reply sends a data reply to the requester's cache controller.
-func (d *DirCtrl) reply(req arch.NodeID, line arch.LineAddr, fill cacheFill, data arch.Data) {
-	d.sendToCache(req, network.DataBytes, stats.ClassRead, func() {
-		d.caches[req].fill(line, fill, data)
-	})
+func (d *DirCtrl) reply(req arch.NodeID, line arch.LineAddr, fill cacheFill, data *arch.Data) {
+	m := d.cacheMsg(msgFill, req, line, network.DataBytes, stats.ClassRead)
+	m.fill, m.data = fill, *data
+	m.transmit()
+}
+
+// replyFromMemory reads the line from local memory and sends it to the
+// requester with the given permission; memRead then applies step.
+func (t *txn) replyFromMemory(fill cacheFill, step txnStep) {
+	d := t.d
+	t.fill, t.step = fill, step
+	d.st.Mem(stats.ClassRead)
+	d.mem.Read(d.phys(t.line).MemAddr(), t.memReadFn)
+}
+
+func (t *txn) memRead(data arch.Data) {
+	t.d.reply(t.req, t.line, t.fill, &data)
+	e := t.e
+	switch t.step {
+	case stepGrantExclusive:
+		e.state, e.owner = dirExcl, t.req
+		t.release()
+	case stepAddSharer:
+		e.sharers.Add(t.req)
+		t.release()
+	case stepGrantWrite:
+		e.state, e.owner = dirExcl, t.req
+		e.sharers.Clear()
+		t.writeIntent()
+	}
 }
 
 // probeOwner sends an intervention (inv=false: downgrading fetch, inv=true:
 // invalidating fetch) and parks the transaction until the owner's answer —
 // or a crossing eviction message — arrives.
-func (d *DirCtrl) probeOwner(owner arch.NodeID, line arch.LineAddr, inv bool, cont func(ownerData)) {
-	e := d.entry(line)
-	e.ownerWait = cont
+func (t *txn) probeOwner(owner arch.NodeID, inv bool) {
+	d, e := t.d, t.e
+	e.ownerWait = t.ownerFn
 	e.ownerWaitNode = owner
-	d.sendToCache(owner, network.ControlBytes, stats.ClassRead, func() {
-		d.caches[owner].probe(line, inv, d.node)
-	})
+	m := d.cacheMsg(msgProbe, owner, t.line, network.ControlBytes, stats.ClassRead)
+	m.inv = inv
+	m.transmit()
 }
 
-// invalidateSharers sends invalidations to every node in mask and runs done
-// once all acknowledgments are in. An empty mask completes immediately.
-// The mask must be an independent copy (SharerSet.CopyWithout): the
-// continuation typically clears the entry's own set while these
-// invalidations are still in flight.
-func (d *DirCtrl) invalidateSharers(line arch.LineAddr, mask SharerSet, done func()) {
-	e := d.entry(line)
+// invalidateSharers sends invalidations to every node in mask and runs
+// invDone once all acknowledgments are in. An empty mask completes
+// immediately. The mask must be an independent copy
+// (SharerSet.CopyWithout): invDone clears the entry's own set while these
+// invalidations may still be in flight.
+func (t *txn) invalidateSharers(mask SharerSet) {
+	d, e := t.d, t.e
 	count := mask.Count()
 	if count == 0 {
-		done()
+		t.invDone()
 		return
 	}
 	e.invWait = count
-	e.invDone = done
+	e.invDone = t.invDoneFn
+	line := t.line
 	mask.ForEach(func(dst arch.NodeID) {
-		d.sendToCache(dst, network.ControlBytes, stats.ClassRead, func() {
-			d.caches[dst].inval(line, d.node)
-		})
+		d.cacheMsg(msgInval, dst, line, network.ControlBytes, stats.ClassRead).transmit()
 	})
 }
 
 // writeMemory performs the (possibly ReVive-extended) memory write: in the
 // baseline it is a plain DRAM write; with the extension installed it is the
-// full log-then-write-then-parity sequence of Figures 4 and 5(b).
-func (d *DirCtrl) writeMemory(line arch.LineAddr, data arch.Data, ckp bool, ack, release func()) {
-	phys := d.phys(line)
+// full log-then-write-then-parity sequence of Figures 4 and 5(b). ack runs
+// when the write may be acknowledged, written when the sequence completes.
+func (t *txn) writeMemory(data *arch.Data, ckp bool) {
+	d := t.d
+	phys := d.phys(t.line)
 	if d.ext == nil {
 		d.st.Mem(wbClass(ckp))
-		d.mem.Write(phys.MemAddr(), data, func() {
-			ack()
-			release()
-		})
+		d.mem.Write(phys.MemAddr(), *data, t.memWrittenFn)
 		return
 	}
-	d.ext.Write(line, phys, data, ckp, ack, release)
+	d.ext.Write(t.line, phys, *data, ckp, t.ackFn, t.writtenFn)
+}
+
+// ack is the memory write's acknowledgment point: after the data write
+// (Figure 4), delayed by logging in the not-yet-logged case (Figure 5(b)).
+// Only a write-back has a requester waiting for it; a sharing write-back
+// or a consumed eviction was acknowledged when it arrived.
+func (t *txn) ack() {
+	if t.kind == reqWB {
+		t.d.ackWB(t.req, t.line, t.ckp)
+	}
+}
+
+// written ends the memory write: a read-exclusive still owes its write
+// intent; everything else releases the entry.
+func (t *txn) written() {
+	if t.kind == reqGETX {
+		t.writeIntent()
+		return
+	}
+	t.release()
+}
+
+func (t *txn) memWritten() {
+	t.ack()
+	t.written()
 }
 
 // writeIntent runs the Figure 5(a) hook after an exclusive grant and
 // releases the entry when the background logging completes.
-func (d *DirCtrl) writeIntent(line arch.LineAddr) {
+func (t *txn) writeIntent() {
+	d := t.d
 	if d.ext == nil {
-		d.release(line)
+		t.release()
 		return
 	}
-	d.ext.WriteIntent(line, d.phys(line), func() { d.release(line) })
+	d.ext.WriteIntent(t.line, d.phys(t.line), t.releaseFn)
 }
 
 // StateOf reports the directory's view of a line (for tests and invariant

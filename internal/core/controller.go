@@ -186,7 +186,7 @@ func (c *Controller) Logged(line arch.LineAddr) bool {
 	if !ok || phys.Node != c.node {
 		return false
 	}
-	return c.lbits.get(lineIndex(phys))
+	return c.lbits.get(phys)
 }
 
 // ForEachLBit calls fn for every line whose Logged bit is set, in ascending
@@ -215,7 +215,7 @@ func (c *Controller) Halt()   { c.halted = true }
 func (c *Controller) Unhalt() { c.halted = false }
 
 func (c *Controller) needsLog(phys arch.PhysLine) bool {
-	return !c.lbits.get(lineIndex(phys)) || c.DisableLBits
+	return !c.lbits.get(phys) || c.DisableLBits
 }
 
 func (c *Controller) local(p arch.PhysLine) arch.PhysLine {
@@ -259,27 +259,50 @@ func popRecord[T any](free *[]*T) *T {
 	return r
 }
 
-// writeBack carries one Figure 4 data write through its continuations.
+// writeBack carries one write-back through its continuations: the
+// Figure 4 data write, preceded in the Figure 5(b) case by logging the old
+// content.
 type writeBack struct {
 	c            *Controller
 	line         arch.LineAddr
 	phys         arch.PhysLine
-	old, data    arch.Data
+	old, data    arch.Data // old: the logged content, then D for the parity delta
 	ckp          bool
 	ack, release func()
 
+	logReadFn func(arch.Data) // Figure 5(b): the extra read of D completed
+	loggedFn  func()          // Figure 5(b): the log entry and its parity are in place
 	readFn    func(arch.Data) // the re-read of D completed
 	writtenFn func()          // D' is in memory
 }
 
-func (c *Controller) newWriteBack() *writeBack {
-	if w := popRecord(&c.wbFree); w != nil {
-		return w
+func (c *Controller) newWriteBack(line arch.LineAddr, phys arch.PhysLine, data arch.Data,
+	ckp bool, ack, release func()) *writeBack {
+	w := popRecord(&c.wbFree)
+	if w == nil {
+		w = &writeBack{c: c}
+		w.logReadFn, w.loggedFn = w.logRead, w.dataWrite
+		w.readFn, w.writtenFn = w.read, w.written
 	}
-	w := &writeBack{c: c}
-	w.readFn, w.writtenFn = w.read, w.written
+	w.line, w.phys, w.data, w.ckp, w.ack, w.release = line, phys, data, ckp, ack, release
 	return w
 }
+
+// logThenWrite performs the Figure 5(b) sequence for a not-yet-logged
+// line: log the old content (with its parity) fully, then the Figure 4
+// data write. Log-data update race (section 4.2): the data write must not
+// start before the log entry *and its parity* are fully updated. Table 1:
+// "copy data to log" costs an extra read here (no reply read to reuse)
+// plus the log write.
+func (c *Controller) logThenWrite(line arch.LineAddr, phys arch.PhysLine, old, data arch.Data,
+	ckp bool, ack, release func()) {
+	w := c.newWriteBack(line, phys, data, ckp, ack, release)
+	w.old = old
+	c.st.Mem(stats.ClassLog)
+	c.dirs[c.node].Mem().Read(phys.MemAddr(), w.logReadFn)
+}
+
+func (w *writeBack) logRead(arch.Data) { w.c.appendLog(w.line, w.old, w.loggedFn) }
 
 // dataWrite performs the Figure 4 sequence: read current D (the re-read the
 // paper keeps because the directory controller has no data cache), write
@@ -287,9 +310,12 @@ func (c *Controller) newWriteBack() *writeBack {
 // reads and XOR are omitted (section 3.2.1).
 func (c *Controller) dataWrite(line arch.LineAddr, phys arch.PhysLine, data arch.Data,
 	ckp bool, ack, release func()) {
+	c.newWriteBack(line, phys, data, ckp, ack, release).dataWrite()
+}
+
+func (w *writeBack) dataWrite() {
+	c, phys := w.c, w.phys
 	m := c.dirs[c.node].Mem()
-	w := c.newWriteBack()
-	w.line, w.phys, w.data, w.ckp, w.ack, w.release = line, phys, data, ckp, ack, release
 	w.old = m.Peek(phys.MemAddr())
 	if c.topo.MirroredFrame(phys.Frame) {
 		// Mirroring omits the old-data read and the XOR (section

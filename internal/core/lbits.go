@@ -1,76 +1,87 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"revive/internal/arch"
 )
 
 // lbitTable is the Logged-bit table of section 3.2.1, modeled the way the
-// hardware builds it: a dense array indexed by the line's physical position
-// in the node's local memory, gang-cleared at every checkpoint commit in a
-// single operation. Instead of physically zeroing the array, each slot
-// holds the generation number it was last set in; a slot is "set" when its
-// stamp equals the current generation, so the gang-clear is one increment —
-// O(1) and allocation-free, like the hardware's one-cycle flash clear.
+// hardware builds it: dense, indexed by the line's physical position in
+// the node's local memory, gang-cleared at every checkpoint commit in a
+// single operation.
+//
+// The table keeps one entry per page frame: a 64-bit mask with one L bit
+// per line of the frame, the global page the frame holds (for enumeration)
+// and the generation the mask was last written in. A mask counts only
+// when its generation equals the table's, so the gang-clear is one
+// increment — O(1) and allocation-free, like the hardware's one-cycle
+// flash clear. An entry is 24 bytes per 64 lines.
 //
 // The table is indexed physically rather than by global line address
 // because the global space is sparse (workloads place private regions at
 // widely separated page numbers) while frames are handed out by a per-node
-// cursor, so the table's size tracks the node's allocated memory. Slots
-// belonging to log frames are simply never set.
+// cursor, so the table's size tracks the node's allocated memory. Entries
+// for log frames are simply never set.
 type lbitTable struct {
 	gen    uint64
-	stamps []uint64        // generation the slot was last set in
-	lines  []arch.LineAddr // global line address of each set slot (enumeration)
+	frames []lbitFrame
 }
 
-// lineIndex is a physical line's slot in its home node's table.
-func lineIndex(p arch.PhysLine) int {
-	return int(p.Frame)*arch.LinesPerPage + int(p.Off)
+// lbitFrame is one frame's L bits.
+type lbitFrame struct {
+	gen  uint64       // generation mask was last written in
+	mask uint64       // bit i: line i of the frame is logged
+	page arch.PageNum // the global page the frame holds
 }
 
 func newLBitTable() lbitTable {
 	return lbitTable{gen: 1}
 }
 
-// set marks the line logged in the current generation, growing the table to
-// cover newly allocated frames.
-func (t *lbitTable) set(idx int, line arch.LineAddr) {
-	if idx >= len(t.stamps) {
-		t.grow(idx)
+// set marks the line at p logged in the current generation, growing the
+// table to cover newly allocated frames. line is p's global address. A
+// frame holds one page, so setting a line of a different page on a frame
+// already set this generation panics.
+func (t *lbitTable) set(p arch.PhysLine, line arch.LineAddr) {
+	f := int(p.Frame)
+	if f >= len(t.frames) {
+		t.grow(f)
 	}
-	t.stamps[idx] = t.gen
-	t.lines[idx] = line
-}
-
-func (t *lbitTable) grow(idx int) {
-	n := idx + 1
-	if n < 2*len(t.stamps) {
-		n = 2 * len(t.stamps)
+	e := &t.frames[f]
+	page := line.Page()
+	if e.gen != t.gen {
+		e.gen, e.mask, e.page = t.gen, 0, page
+	} else if e.page != page {
+		panic("core: L bit for a second page on one frame")
 	}
-	stamps := make([]uint64, n)
-	copy(stamps, t.stamps)
-	t.stamps = stamps
-	lines := make([]arch.LineAddr, n)
-	copy(lines, t.lines)
-	t.lines = lines
+	e.mask |= 1 << p.Off
 }
 
-// get reports whether the line is logged in the current generation.
-func (t *lbitTable) get(idx int) bool {
-	return idx < len(t.stamps) && t.stamps[idx] == t.gen
+func (t *lbitTable) grow(f int) {
+	n := f + 1
+	if n < 2*len(t.frames) {
+		n = 2 * len(t.frames)
+	}
+	frames := make([]lbitFrame, n)
+	copy(frames, t.frames)
+	t.frames = frames
 }
 
-// clear is the gang-clear: every slot's stamp becomes stale at once. On
-// generation wraparound the stamps are physically zeroed so that slots
-// stamped in a long-dead generation cannot alias the fresh one.
+// get reports whether the line at p is logged in the current generation.
+func (t *lbitTable) get(p arch.PhysLine) bool {
+	f := int(p.Frame)
+	return f < len(t.frames) && t.frames[f].gen == t.gen && t.frames[f].mask&(1<<p.Off) != 0
+}
+
+// clear is the gang-clear: every frame's mask becomes stale at once. On
+// generation wraparound the entries are physically zeroed so that masks
+// written in a long-dead generation cannot alias the fresh one.
 func (t *lbitTable) clear() {
 	t.gen++
 	if t.gen == 0 {
-		for i := range t.stamps {
-			t.stamps[i] = 0
-		}
+		clear(t.frames)
 		t.gen = 1
 	}
 }
@@ -78,9 +89,12 @@ func (t *lbitTable) clear() {
 // forEach calls fn for every set line, in ascending global line order.
 func (t *lbitTable) forEach(fn func(arch.LineAddr)) {
 	var set []arch.LineAddr
-	for i, s := range t.stamps {
-		if s == t.gen {
-			set = append(set, t.lines[i])
+	for _, e := range t.frames {
+		if e.gen != t.gen {
+			continue
+		}
+		for m := e.mask; m != 0; m &= m - 1 {
+			set = append(set, e.page.FirstLine()+arch.LineAddr(bits.TrailingZeros64(m)))
 		}
 	}
 	slices.Sort(set)

@@ -4,40 +4,98 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"revive/internal/arch"
 )
 
-// White-box: the gang-clear wraps the generation counter. Slot 3 is stamped
-// in generation 1; after the wrap the counter is 1 again, so without the
-// physical zeroing the long-dead stamp would alias the fresh generation and
-// the line would falsely read as logged.
+// lineOn is the physical and global address of line off of page, held in
+// frame f: the mapping callers produce (one page per frame, the slot offset
+// equal to the line's page offset).
+func lineOn(f arch.Frame, page arch.PageNum, off int) (arch.PhysLine, arch.LineAddr) {
+	return arch.PhysLine{Frame: f, Off: uint8(off)}, page.FirstLine() + arch.LineAddr(off)
+}
+
+// White-box: the gang-clear wraps the generation counter. Frame 3 is set in
+// generation 1; after the wrap the counter is 1 again, so without the
+// physical zeroing the long-dead entry would alias the fresh generation and
+// its line would falsely read as logged.
 func TestLBitGenerationWraparound(t *testing.T) {
 	tb := newLBitTable()
-	tb.set(3, arch.LineAddr(30)) // stamped in generation 1
-	tb.gen = ^uint64(0)          // force the next clear to wrap
-	tb.set(7, arch.LineAddr(70))
-	if tb.get(3) {
-		t.Fatal("slot stamped in a stale generation reads as set")
+	p3, l3 := lineOn(3, 30, 5)
+	tb.set(p3, l3)      // frame 3 written in generation 1
+	tb.gen = ^uint64(0) // force the next clear to wrap
+	p7, l7 := lineOn(7, 70, 9)
+	tb.set(p7, l7)
+	if tb.get(p3) {
+		t.Fatal("frame set in a stale generation reads as set")
 	}
-	if !tb.get(7) {
-		t.Fatal("slot stamped in the current generation reads as clear")
+	if !tb.get(p7) {
+		t.Fatal("frame set in the current generation reads as clear")
+	}
+	if tb.frames[3].gen != 1 || tb.frames[7].gen != ^uint64(0) {
+		t.Fatalf("frame generations = %d, %d; want 1, %d", tb.frames[3].gen, tb.frames[7].gen, ^uint64(0))
 	}
 	tb.clear()
 	if tb.gen != 1 {
 		t.Fatalf("generation after wraparound = %d, want 1", tb.gen)
 	}
-	for i, s := range tb.stamps {
-		if s != 0 {
-			t.Fatalf("stamp %d = %d after wraparound clear, want 0", i, s)
+	for i, e := range tb.frames {
+		if e != (lbitFrame{}) {
+			t.Fatalf("frame %d = %+v after wraparound clear, want zero", i, e)
 		}
 	}
-	if tb.get(3) || tb.get(7) {
+	if tb.get(p3) || tb.get(p7) {
 		t.Fatal("L bits survived the wraparound gang-clear")
 	}
-	tb.set(1, arch.LineAddr(10))
-	if !tb.get(1) {
+	p1, l1 := lineOn(1, 10, 0)
+	tb.set(p1, l1)
+	if !tb.get(p1) || tb.frames[1].gen != 1 {
 		t.Fatal("table unusable after wraparound")
+	}
+	// A frame first set in the new generation may now hold any page.
+	p3b, l3b := lineOn(3, 31, 5)
+	tb.set(p3b, l3b)
+	if !tb.get(p3b) || tb.frames[3].page != 31 {
+		t.Fatal("frame 3 did not take its new page")
+	}
+}
+
+// A frame holds one page: within a generation, an L bit for a second page
+// on the same frame is a caller bug and panics. After a gang-clear the
+// frame may be set for another page.
+func TestLBitSecondPageOnFramePanics(t *testing.T) {
+	tb := newLBitTable()
+	p, l := lineOn(2, 40, 1)
+	tb.set(p, l)
+	tb.set(lineOn(2, 40, 2)) // same page: fine
+	tb.clear()
+	tb.set(lineOn(2, 41, 1)) // new generation: the frame may change page
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second page on one frame did not panic")
+		}
+	}()
+	tb.set(lineOn(2, 42, 3))
+}
+
+// The table costs 24 bytes per frame — 64 lines — instead of the 16 bytes
+// per line of a stamp-and-address array, and grows only to the highest
+// frame set (with doubling).
+func TestLBitTableFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(lbitFrame{}); sz != 24 {
+		t.Fatalf("lbitFrame is %d bytes, want 24", sz)
+	}
+	tb := newLBitTable()
+	const frames = 1000
+	for f := arch.Frame(0); f < frames; f++ {
+		tb.set(lineOn(f, arch.PageNum(5000+f), int(f)%arch.LinesPerPage))
+	}
+	if n := len(tb.frames); n < frames || n > 2*frames {
+		t.Fatalf("table covers %d frames after setting %d", n, frames)
+	}
+	if bytes := uintptr(cap(tb.frames)) * unsafe.Sizeof(lbitFrame{}); bytes > 2*frames*24 {
+		t.Fatalf("table holds %d bytes for %d frames, want at most %d", bytes, frames, 2*frames*24)
 	}
 }
 
@@ -77,10 +135,11 @@ func TestDisableLBitsForcesRelogging(t *testing.T) {
 // map's buckets).
 func TestLBitAndLedgerZeroAlloc(t *testing.T) {
 	tb := newLBitTable()
-	tb.set(512, arch.LineAddr(512)) // grow once, outside the measured loop
+	tb.set(lineOn(512, 512, 0)) // grow once, outside the measured loop
+	p37, l37 := lineOn(37, 37, 37)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		tb.set(37, arch.LineAddr(37))
-		if !tb.get(37) {
+		tb.set(p37, l37)
+		if !tb.get(p37) {
 			t.Fatal("bit lost")
 		}
 		tb.clear()
@@ -106,27 +165,34 @@ func TestLBitAndLedgerZeroAlloc(t *testing.T) {
 	}
 }
 
-// Randomized cross-check of the epoch-stamped dense table against a plain
-// map reference: interleaved sets, gets, gang-clears and growth must agree
-// slot for slot, and the enumeration must yield exactly the reference's
-// lines in ascending order.
+// Randomized cross-check of the per-frame table against a plain map
+// reference: interleaved sets, gets, gang-clears and growth must agree line
+// for line, and the enumeration must yield exactly the reference's lines in
+// ascending order. Lines map to slots the way callers map them: each frame
+// holds one page (here an arbitrary injective, non-monotone choice, so
+// frame order and line order differ) and the slot offset is the line's
+// page offset.
 func TestLBitTableMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tb := newLBitTable()
-	ref := make(map[int]arch.LineAddr)
-	const slots = 4096
+	ref := make(map[arch.PhysLine]arch.LineAddr)
+	const frames = 64
+	pageOf := func(f int) arch.PageNum { return arch.PageNum((f*37)%frames*3 + 1) }
+	pick := func() (arch.PhysLine, arch.LineAddr) {
+		f := rng.Intn(frames)
+		return lineOn(arch.Frame(f), pageOf(f), rng.Intn(arch.LinesPerPage))
+	}
 	for op := 0; op < 20000; op++ {
 		switch r := rng.Intn(100); {
 		case r < 55: // set
-			idx := rng.Intn(slots)
-			line := arch.LineAddr(idx*7 + 1) // injective slot→line mapping
-			tb.set(idx, line)
-			ref[idx] = line
+			p, line := pick()
+			tb.set(p, line)
+			ref[p] = line
 		case r < 97: // get
-			idx := rng.Intn(slots)
-			_, want := ref[idx]
-			if got := tb.get(idx); got != want {
-				t.Fatalf("op %d: get(%d) = %v, reference says %v", op, idx, got, want)
+			p, _ := pick()
+			_, want := ref[p]
+			if got := tb.get(p); got != want {
+				t.Fatalf("op %d: get(%+v) = %v, reference says %v", op, p, got, want)
 			}
 		default: // gang-clear
 			tb.clear()

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"revive/internal/arch"
-	"revive/internal/stats"
 )
 
 // Strategy is a pluggable recovery-strategy backend: it decides how a
@@ -121,7 +120,7 @@ func (reviveStrategy) WriteIntent(c *Controller, line arch.LineAddr, phys arch.P
 		return
 	}
 	c.Events.RDXNotLogged++
-	c.lbits.set(lineIndex(phys), line)
+	c.lbits.set(phys, line)
 	// The data read that supplied the requester also feeds the logger
 	// (Table 1 charges only 1 extra access: the log write).
 	old := c.dirs[c.node].Mem().Peek(phys.MemAddr())
@@ -139,8 +138,7 @@ func (reviveStrategy) Write(c *Controller, line arch.LineAddr, phys arch.PhysLin
 		return
 	}
 	c.Events.WBNotLogged++
-	c.lbits.set(lineIndex(phys), line)
-	doWrite := func() { c.dataWrite(line, phys, data, ckp, ack, release) }
+	c.lbits.set(phys, line)
 	if c.BugDataBeforeLog {
 		// The deliberately broken build: the data write lands first and
 		// the "old" content fed to the log is peeked *after* it — the log
@@ -153,14 +151,7 @@ func (reviveStrategy) Write(c *Controller, line arch.LineAddr, phys arch.PhysLin
 		return
 	}
 	old := c.dirs[c.node].Mem().Peek(phys.MemAddr())
-	// Log-data update race (section 4.2): the data write must not start
-	// before the log entry *and its parity* are fully updated. Table 1:
-	// "copy data to log" costs an extra read here (no reply read to
-	// reuse) plus the log write.
-	c.st.Mem(stats.ClassLog)
-	c.dirs[c.node].Mem().Read(phys.MemAddr(), func(arch.Data) {
-		c.appendLog(line, old, doWrite)
-	})
+	c.logThenWrite(line, phys, old, data, ckp, ack, release)
 }
 
 // CommitEpoch advances the checkpoint epoch: gang-clear the L bits and

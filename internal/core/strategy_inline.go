@@ -2,7 +2,6 @@ package core
 
 import (
 	"revive/internal/arch"
-	"revive/internal/stats"
 )
 
 // inlineLogWords is the modeled spare capacity of one memory line for
@@ -48,8 +47,7 @@ func (*inlineLogStrategy) Write(c *Controller, line arch.LineAddr, phys arch.Phy
 		return
 	}
 	c.Events.WBNotLogged++
-	c.lbits.set(lineIndex(phys), line)
-	doWrite := func() { c.dataWrite(line, phys, data, ckp, ack, release) }
+	c.lbits.set(phys, line)
 	old := c.dirs[c.node].Mem().Peek(phys.MemAddr())
 	logged := old
 	if c.BugDataBeforeLog {
@@ -67,16 +65,13 @@ func (*inlineLogStrategy) Write(c *Controller, line arch.LineAddr, phys arch.Phy
 		c.pokeWithParity(c.local(slot.headerLine()),
 			encodeHeader(header{line: line, epoch: c.epoch, marker: markerValid}))
 		c.pokeWithParity(c.local(slot.dataLine()), logged)
-		doWrite()
+		c.dataWrite(line, phys, data, ckp, ack, release)
 		return
 	}
 	// Overflow: the classic Figure 5(b) path — log fully (with its
 	// parity) before the data write, delaying the acknowledgment.
 	c.Events.InlineOverflows++
-	c.st.Mem(stats.ClassLog)
-	c.dirs[c.node].Mem().Read(phys.MemAddr(), func(arch.Data) {
-		c.appendLog(line, logged, doWrite)
-	})
+	c.logThenWrite(line, phys, logged, data, ckp, ack, release)
 }
 
 // CommitEpoch is the common epoch advance (same retention discipline).

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"revive/internal/arch"
 	"revive/internal/sim"
 	"revive/internal/workload"
 )
@@ -237,6 +238,36 @@ func TestUtilizationReport(t *testing.T) {
 	// Cross-check: per-node access sum matches the per-class totals.
 	if memAcc != m.Stats.TotalMemAccesses() {
 		t.Fatalf("per-node sum %d != per-class sum %d", memAcc, m.Stats.TotalMemAccesses())
+	}
+}
+
+// After a run each node reports no more dirty lines than its L2 holds:
+// inclusion puts every dirty line in L2, and a line Modified at both
+// levels counts once. The baseline machine takes no checkpoints, so dirty
+// lines accumulate; with a 512-line L2 the two levels' dirty counts add up
+// to more lines than L2 can hold.
+func TestUtilizationDirtyLinesWithinL2(t *testing.T) {
+	cfg := smallConfig(false)
+	cfg.L2.SizeBytes = 32 * 1024
+	capacity := cfg.L2.SizeBytes / arch.LineBytes
+	m := New(cfg)
+	m.Load(testProfile(30000))
+	m.Run()
+	overlap := false
+	for n, u := range m.Utilization() {
+		l1, l2 := m.Caches[n].L1(), m.Caches[n].L2()
+		if u.DirtyLines > capacity || u.DirtyLines > l2.ValidLines() {
+			t.Fatalf("node %d: %d dirty lines, but L2 holds %d of %d lines",
+				n, u.DirtyLines, l2.ValidLines(), capacity)
+		}
+		if u.DirtyLines < l2.DirtyCount() || u.DirtyLines > l2.DirtyCount()+l1.DirtyCount() {
+			t.Fatalf("node %d: %d dirty lines outside [%d, %d]",
+				n, u.DirtyLines, l2.DirtyCount(), l2.DirtyCount()+l1.DirtyCount())
+		}
+		overlap = overlap || l1.DirtyCount()+l2.DirtyCount() > capacity
+	}
+	if !overlap {
+		t.Fatal("no node's level counts sum past L2 capacity; the check has no teeth")
 	}
 }
 

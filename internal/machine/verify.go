@@ -181,25 +181,27 @@ func (m *Machine) VerifyCoherence() error {
 			memData := m.Mems[phys.Node].Peek(phys.MemAddr())
 			var holders, dirty []arch.NodeID
 			for n, cc := range m.Caches {
-				l2 := cc.L2().Probe(e.Line)
-				if l2 == nil {
-					if l1 := cc.L1().Probe(e.Line); l1 != nil {
+				l1, l2 := cc.L1(), cc.L2()
+				s2 := l2.Probe(e.Line)
+				s1 := l1.Probe(e.Line)
+				if s2 == cache.NoSlot {
+					if s1 != cache.NoSlot {
 						err = fmt.Errorf("node %d: L1 copy of %#x without L2 (inclusion)", n, e.Line)
 						return
 					}
 					continue
 				}
 				holders = append(holders, arch.NodeID(n))
-				isDirty := l2.State == cache.Modified
-				if l1 := cc.L1().Probe(e.Line); l1 != nil && l1.State == cache.Modified {
+				isDirty := l2.State(s2) == cache.Modified
+				if s1 != cache.NoSlot && l1.State(s1) == cache.Modified {
 					isDirty = true
 				}
 				if isDirty {
 					dirty = append(dirty, arch.NodeID(n))
-				} else if l2.Data != memData {
-					memData := memData // copied here so only a mismatch allocates
+				} else if *l2.Data(s2) != memData {
+					memData, cached := memData, *l2.Data(s2) // copied here so only a mismatch allocates
 					err = fmt.Errorf("node %d: clean copy of %#x differs from memory (dir=%s owner=%d sharers=%v l2state=%v cache=%x mem=%x)",
-						n, e.Line, e.State, e.Owner, e.Sharers, l2.State, l2.Data[:8], memData[:8])
+						n, e.Line, e.State, e.Owner, e.Sharers, l2.State(s2), cached[:8], memData[:8])
 					return
 				}
 			}

@@ -157,15 +157,17 @@ func TestStoreValuesAreUnique(t *testing.T) {
 	r.engine.Run()
 	// All 20 stores landed on distinct 8-byte slots of distinct values:
 	// the line contents must be pairwise distinct per slot.
-	line := r.caches[0].L1().Probe(arch.Addr(0x10000).Line())
-	if line == nil {
+	l1 := r.caches[0].L1()
+	slot := l1.Probe(arch.Addr(0x10000).Line())
+	if slot == cache.NoSlot {
 		t.Fatal("stored line not cached")
 	}
+	line := l1.Data(slot)
 	seen := map[uint64]bool{}
 	for off := 0; off < 64; off += 8 {
 		var v uint64
 		for b := 0; b < 8; b++ {
-			v |= uint64(line.Data[off+b]) << (8 * b)
+			v |= uint64(line[off+b]) << (8 * b)
 		}
 		if v == 0 || seen[v] {
 			t.Fatalf("slot %d value %x duplicated or zero", off, v)
