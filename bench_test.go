@@ -1,11 +1,11 @@
 package revive
 
-// One benchmark per table and figure of the paper's evaluation. Each
-// iteration regenerates the experiment at the Quick scale (reduced
-// instruction budgets); `cmd/revive-bench -all` produces the full-scale
-// numbers recorded in EXPERIMENTS.md. The reported metric of interest is
-// printed via b.ReportMetric where a single scalar summarizes the result
-// (e.g. average overhead for Figure 8).
+// One benchmark per registry entry, plus the Table 1 event microbenchmark
+// and the DESIGN.md section 5 ablations. Each iteration regenerates its
+// experiment at the Quick scale (reduced instruction budgets);
+// `cmd/revive-bench -all` produces the full-scale numbers recorded in
+// EXPERIMENTS.md. Where a single scalar summarizes a result it is printed
+// via b.ReportMetric.
 
 import (
 	"fmt"
@@ -29,97 +29,18 @@ func benchApps(b *testing.B, o Options) []App {
 	return apps
 }
 
-// BenchmarkFigure8 regenerates the error-free overhead comparison
-// (Figure 8): 5 configurations per application.
-func BenchmarkFigure8(b *testing.B) {
+// BenchmarkExperiments regenerates every registry entry on benchApps, one
+// sub-benchmark per entry. Each iteration starts a fresh Session, so it
+// pays for every sweep its experiment reads.
+func BenchmarkExperiments(b *testing.B) {
 	o := Options{Quick: true}
 	apps := benchApps(b, o)
-	for i := 0; i < b.N; i++ {
-		results := RunErrorFree(o, apps, nil)
-		b.ReportMetric(100*meanOverhead(results, VCp), "avg-Cp-overhead-%")
-		b.ReportMetric(100*meanOverhead(results, VCpInf), "avg-CpInf-overhead-%")
-	}
-}
-
-// BenchmarkFigure9 regenerates the network-traffic breakdown (Figure 9).
-func BenchmarkFigure9(b *testing.B) {
-	o := Options{Quick: true}
-	apps := benchApps(b, o)[2:3] // FFT
-	for i := 0; i < b.N; i++ {
-		results := RunErrorFree(o, apps, nil)
-		st := results[0].Runs[VCp]
-		WriteFigure9(io.Discard, results)
-		b.ReportMetric(float64(st.TotalNetBytes())/float64(st.Instructions), "net-B/instr")
-	}
-}
-
-// BenchmarkFigure10 regenerates the memory-traffic breakdown (Figure 10).
-func BenchmarkFigure10(b *testing.B) {
-	o := Options{Quick: true}
-	apps := benchApps(b, o)[3:4] // Radix
-	for i := 0; i < b.N; i++ {
-		results := RunErrorFree(o, apps, nil)
-		st := results[0].Runs[VCp]
-		WriteFigure10(io.Discard, results)
-		b.ReportMetric(1000*float64(st.TotalMemAccesses())/float64(st.Instructions), "mem-acc/1000instr")
-	}
-}
-
-// BenchmarkFigure11 regenerates the maximum-log-size measurement
-// (Figure 11) on Radix, the paper's largest log.
-func BenchmarkFigure11(b *testing.B) {
-	o := Options{Quick: true}
-	app, _ := AppByName("Radix", o)
-	for i := 0; i < b.N; i++ {
-		m := New(EvalConfig(o))
-		m.Load(app)
-		st := m.Run()
-		b.ReportMetric(float64(st.LogBytesPeak)/1024, "peak-log-KB")
-	}
-}
-
-// BenchmarkFigure12 regenerates the recovery-time experiment (Figure 12
-// and the Figure 7 time-line): worst-case node loss, rollback of two
-// checkpoints.
-func BenchmarkFigure12(b *testing.B) {
-	o := Options{Quick: true}
-	apps := benchApps(b, o)[3:4] // Radix, the slowest recovery
-	for i := 0; i < b.N; i++ {
-		res := RunRecoveryStudy(o, apps, nil)
-		b.ReportMetric(float64(res[0].NodeLoss.Phase2+res[0].NodeLoss.Phase3)/1000,
-			"recovery-us")
-	}
-}
-
-// BenchmarkFigure6 regenerates the checkpoint-establishment timing at the
-// paper's two reference cache sizes (section 3.3.1).
-func BenchmarkFigure6(b *testing.B) {
-	o := Options{Quick: true}
-	for i := 0; i < b.N; i++ {
-		rows := RunFigure6(o)
-		b.ReportMetric(float64(rows[0].FlushTime)/1000, "flush-128KB-us")
-		b.ReportMetric(float64(rows[1].FlushTime)/1000, "flush-2MB-us")
-	}
-}
-
-// BenchmarkTable2 regenerates the working-set/frequency sensitivity matrix.
-func BenchmarkTable2(b *testing.B) {
-	o := Options{Quick: true}
-	for i := 0; i < b.N; i++ {
-		cells := RunTable2(o)
-		b.ReportMetric(100*cells[0].Overhead, "nofit-high-%")
-		b.ReportMetric(100*cells[len(cells)-1].Overhead, "clean-low-%")
-	}
-}
-
-// BenchmarkTable4 regenerates the application-characteristics table
-// (baseline miss rates).
-func BenchmarkTable4(b *testing.B) {
-	o := Options{Quick: true}
-	apps := benchApps(b, o)
-	for i := 0; i < b.N; i++ {
-		results := RunMissRates(o, apps)
-		b.ReportMetric(100*results[len(results)-1].Runs[VBase].L2MissRate(), "radix-miss-%")
+	for _, e := range Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.Write(io.Discard, &Session{Options: o, Apps: apps})
+			}
+		})
 	}
 }
 
@@ -139,26 +60,6 @@ func BenchmarkTable1Events(b *testing.B) {
 		st := m.Run()
 		b.ReportMetric(float64(st.MemAccesses[4])/float64(st.MemAccesses[1]+st.MemAccesses[2]+1),
 			"parity-acc-per-wb")
-	}
-}
-
-// BenchmarkStorage regenerates the section 6.2 storage accounting.
-func BenchmarkStorage(b *testing.B) {
-	o := Options{Quick: true}
-	apps := benchApps(b, o)[3:4]
-	for i := 0; i < b.N; i++ {
-		results := RunErrorFree(o, apps, nil)
-		s := StorageStudy(results, 8)
-		b.ReportMetric(100*s.TotalOverhead(), "mem-overhead-%")
-	}
-}
-
-// BenchmarkAvailability regenerates the section 3.3.2 availability table
-// (pure arithmetic; here for completeness of the per-experiment index).
-func BenchmarkAvailability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := AvailabilityStudy()
-		b.ReportMetric(100*rows[0].WorstCase, "avail-1-per-day-%")
 	}
 }
 

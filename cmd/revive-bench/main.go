@@ -15,8 +15,13 @@
 //	revive-bench -quick -all         # reduced budgets, fast smoke run
 //	revive-bench -apps FFT,Radix     # restrict the application set
 //	revive-bench -all -j 8           # eight simulations at a time
-//	revive-bench -bench              # benchmark-regression suite vs. baseline
 //	revive-bench -all -cpuprofile cpu.pb.gz   # profile a full run
+//
+// Every flag selects entries of the root package's experiment registry
+// (revive.Experiments) by name: -fig N is "figureN", -table N is
+// "tableN", and the other flags are named after their entry. Reports come
+// out in registry order whatever the flag order. An unknown figure or
+// table exits 2.
 //
 // The experiment sweeps are embarrassingly parallel (one machine instance
 // per app x variant cell); -j sets how many run at once (default: all
@@ -48,14 +53,7 @@ func main() {
 		quick        = flag.Bool("quick", false, "reduced instruction budgets")
 		scale        = flag.Int("scale", 100, "divide paper instruction counts by this")
 		appsFlag     = flag.String("apps", "", "comma-separated application subset")
-		missRates    = flag.Bool("missrates", false, "baseline-only miss-rate calibration (Table 4)")
 		jobs         = flag.Int("j", 0, "simulations to run in parallel (0 = all CPUs, 1 = serial)")
-
-		bench           = flag.Bool("bench", false, "run the benchmark-regression suite instead of experiments")
-		benchFilter     = flag.String("bench-filter", "", "restrict -bench to benchmarks whose name contains this")
-		benchOut        = flag.String("bench-out", "", "write the -bench report here (default: BENCH_<date>.json)")
-		benchBaseline   = flag.String("bench-baseline", "BENCH_baseline.json", "baseline report -bench compares against (empty: no comparison)")
-		benchMaxRegress = flag.Float64("bench-max-regress", 0, "exit 1 if any -bench ns/op regressed more than this percent (0: report only)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -67,146 +65,61 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	defer stopProfiles()
-
-	if *bench {
-		code := runBench(*benchFilter, *benchOut, *benchBaseline, *benchMaxRegress)
+	// fail stops the profiles first: os.Exit skips deferred calls.
+	fail := func(msg any) {
+		fmt.Fprintln(os.Stderr, msg)
 		stopProfiles()
-		os.Exit(code)
+		os.Exit(2)
 	}
 
 	o := revive.Options{Scale: *scale, Quick: *quick, Parallelism: *jobs}
 	if err := revive.ValidateStrategy(*strategy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		stopProfiles()
-		os.Exit(2)
+		fail(err)
 	}
 	o.Strategy = *strategy
 	apps := revive.Apps(o)
 	if *appsFlag != "" {
-		var picked []revive.App
+		apps = nil
 		for _, name := range strings.Split(*appsFlag, ",") {
 			a, ok := revive.AppByName(strings.TrimSpace(name), o)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown application %q\n", name)
-				stopProfiles()
-				os.Exit(2)
+				fail(fmt.Sprintf("unknown application %q", name))
 			}
-			picked = append(picked, a)
+			apps = append(apps, a)
 		}
-		apps = picked
 	}
 
-	w := os.Stdout
-	if *missRates {
-		revive.WriteTable4(w, revive.RunMissRates(o, apps))
-		return
-	}
-	needMatrix := *all || *fig >= 8 && *fig <= 11 || *table == 4 || *storage
-	needRecovery := *all || *fig == 7 || *fig == 12
-
-	var matrix []revive.AppResult
-	if needMatrix {
-		start := time.Now()
-		matrix = revive.RunErrorFree(o, apps, func(app string, v revive.Variant, st *revive.Stats) {
-			fmt.Fprintf(os.Stderr, "  %-10s %-8s exec=%8.1fus ckps=%d\n",
-				app, v, float64(st.ExecTime)/1000, st.Checkpoints)
-		})
-		fmt.Fprintf(os.Stderr, "error-free matrix: %v\n", time.Since(start))
-	}
-	var recov []revive.RecoveryResult
-	if needRecovery {
-		start := time.Now()
-		recov = revive.RunRecoveryStudy(o, apps, func(app string) {
-			fmt.Fprintf(os.Stderr, "  recovery: %s\n", app)
-		})
-		fmt.Fprintf(os.Stderr, "recovery study: %v\n", time.Since(start))
-	}
-
-	sep := func() { revive.Separator(w) }
-	if *all || *fig == 6 {
-		rows := revive.RunFigure6(o)
-		cfg := revive.EvalConfig(o)
-		revive.WriteFigure6(w, rows, cfg.Checkpoint.InterruptCost, cfg.Checkpoint.BarrierCost)
-		sep()
-	}
-	if *all || *fig == 7 {
-		worst := recov[0].NodeLoss
-		for _, r := range recov {
-			if r.NodeLoss.Unavailable() > worst.Unavailable() {
-				worst = r.NodeLoss
-			}
+	var names []string
+	for _, e := range revive.Experiments {
+		if *all && e.All {
+			names = append(names, e.Name)
 		}
-		cfg := revive.EvalConfig(o)
-		revive.WriteFigure7(w, worst, cfg.Checkpoint.Interval, cfg.Checkpoint.Interval*8/10)
-		sep()
 	}
-	if *all || *fig == 8 {
-		revive.WriteFigure8(w, matrix)
-		sep()
+	if *fig != 0 {
+		names = append(names, fmt.Sprintf("figure%d", *fig))
 	}
-	if *all || *fig == 9 {
-		revive.WriteFigure9(w, matrix)
-		sep()
+	if *table != 0 {
+		names = append(names, fmt.Sprintf("table%d", *table))
 	}
-	if *all || *fig == 10 {
-		revive.WriteFigure10(w, matrix)
-		sep()
+	for _, f := range []struct {
+		on   bool
+		name string
+	}{{*storage, "storage"}, {*availability, "availability"}, {*splitDomain, "split-domain"}, {*stratMatrix, "strategy-matrix"}} {
+		if f.on {
+			names = append(names, f.name)
+		}
 	}
-	if *all || *fig == 11 {
-		revive.WriteFigure11(w, matrix)
-		sep()
-	}
-	if *all || *fig == 12 {
-		revive.WriteFigure12(w, recov)
-		sep()
-	}
-	if *all || *table == 2 {
-		revive.WriteTable2(w, revive.RunTable2(o))
-		sep()
-	}
-	if *all || *table == 4 {
-		revive.WriteTable4(w, matrix)
-		sep()
-	}
-	if *all || *storage {
-		revive.WriteStorage(w, revive.StorageStudy(matrix, 8))
-		sep()
-	}
-	if *all || *availability {
-		revive.WriteAvailability(w, revive.AvailabilityStudy())
-		sep()
-	}
-	if *splitDomain {
-		// Not part of -all: EXPERIMENTS.md E19 records a full run, and the
-		// -quick -all golden stays byte-identical.
-		start := time.Now()
-		app := apps[0]
-		res := revive.RunSplitDomainStudy(o, app, []int{8, 2}, func(gs int) {
-			fmt.Fprintf(os.Stderr, "  split-domain: %s group size %d\n", app.Label, gs)
-		})
-		fmt.Fprintf(os.Stderr, "split-domain study: %v\n", time.Since(start))
-		revive.WriteE19(w, res, revive.EvalConfig(o).Checkpoint.Interval)
-		sep()
-	}
-	if *stratMatrix {
-		// Not part of -all for the same reason as -split-domain: the
-		// -quick -all golden stays byte-identical, and EXPERIMENTS.md E23
-		// records a full run. The matrix runs every registered backend, so
-		// -strategy (which selects one backend for the other experiments)
-		// does not apply here.
-		start := time.Now()
-		res := revive.RunStrategyMatrix(o, apps, func(app, strat string, st *revive.Stats) {
-			fmt.Fprintf(os.Stderr, "  %-10s %-11s exec=%8.1fus ckps=%d\n",
-				app, strat, float64(st.ExecTime)/1000, st.Checkpoints)
-		})
-		fmt.Fprintf(os.Stderr, "strategy matrix: %v\n", time.Since(start))
-		revive.WriteStrategyMatrix(w, res)
-		sep()
-	}
-	if !*all && *fig == 0 && *table == 0 && !*storage && !*availability && !*splitDomain && !*stratMatrix {
+	if len(names) == 0 {
 		flag.Usage()
 		stopProfiles()
 		os.Exit(2)
 	}
+
+	start := time.Now()
+	s := &revive.Session{Options: o, Apps: apps, Progress: os.Stderr}
+	if err := revive.RunExperiments(os.Stdout, s, names); err != nil {
+		fail(err)
+	}
+	fmt.Fprintf(os.Stderr, "revive-bench: %s in %v\n", strings.Join(names, ", "), time.Since(start))
+	stopProfiles()
 }

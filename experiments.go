@@ -3,6 +3,7 @@ package revive
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,6 +22,133 @@ func (o Options) parallelism() int {
 		return o.Parallelism
 	}
 	return sweep.DefaultParallelism()
+}
+
+// Experiment is one report of the evaluation: the name revive-bench and
+// BenchmarkExperiments select it by, whether revive-bench -all includes it,
+// and Write, which runs it through the Session and renders it to w.
+type Experiment struct {
+	Name  string
+	All   bool
+	Write func(w io.Writer, s *Session)
+}
+
+// Experiments is the registry, in report order: the paper's section 6
+// outputs (all in -all, pinned by testdata/bench_quick_all.golden), then
+// E19 and E23 (pinned by testdata/bench_quick_fft_radix.golden). Those two
+// stay out of -all so that its golden and bench_all_output.txt hold the
+// paper's outputs alone.
+var Experiments = []Experiment{
+	{"figure6", true, func(w io.Writer, s *Session) {
+		cfg := EvalConfig(s.Options)
+		WriteFigure6(w, RunFigure6(s.Options), cfg.Checkpoint.InterruptCost, cfg.Checkpoint.BarrierCost)
+	}},
+	{"figure7", true, func(w io.Writer, s *Session) {
+		recov := s.recovery()
+		worst := recov[0].NodeLoss
+		for _, r := range recov[1:] {
+			if r.NodeLoss.Unavailable() > worst.Unavailable() {
+				worst = r.NodeLoss
+			}
+		}
+		interval := EvalConfig(s.Options).Checkpoint.Interval
+		WriteFigure7(w, worst, interval, interval*8/10)
+	}},
+	{"figure8", true, func(w io.Writer, s *Session) { WriteFigure8(w, s.matrix()) }},
+	{"figure9", true, func(w io.Writer, s *Session) { WriteFigure9(w, s.matrix()) }},
+	{"figure10", true, func(w io.Writer, s *Session) { WriteFigure10(w, s.matrix()) }},
+	{"figure11", true, func(w io.Writer, s *Session) { WriteFigure11(w, s.matrix()) }},
+	{"figure12", true, func(w io.Writer, s *Session) { WriteFigure12(w, s.recovery()) }},
+	{"table2", true, func(w io.Writer, s *Session) { WriteTable2(w, RunTable2(s.Options)) }},
+	{"table4", true, func(w io.Writer, s *Session) {
+		// Table 4 reads only the baseline cells: reuse the matrix if an
+		// earlier entry ran it, else run just those.
+		results := s.matrixRuns
+		if results == nil {
+			results = RunMissRates(s.Options, s.Apps)
+		}
+		WriteTable4(w, results)
+	}},
+	{"storage", true, func(w io.Writer, s *Session) { WriteStorage(w, StorageStudy(s.matrix(), 8)) }},
+	{"availability", true, func(w io.Writer, s *Session) { WriteAvailability(w, AvailabilityStudy()) }},
+	{"split-domain", false, func(w io.Writer, s *Session) {
+		app := s.Apps[0]
+		res := RunSplitDomainStudy(s.Options, app, []int{8, 2}, func(gs int) {
+			s.progressf("  split-domain: %s group size %d\n", app.Label, gs)
+		})
+		WriteE19(w, res, EvalConfig(s.Options).Checkpoint.Interval)
+	}},
+	{"strategy-matrix", false, func(w io.Writer, s *Session) {
+		// Every registered backend runs, so Options.Strategy does not apply.
+		res := RunStrategyMatrix(s.Options, s.Apps, func(app, strategy string, st *Stats) {
+			s.progressf("  %-10s %-11s exec=%8.1fus ckps=%d\n",
+				app, strategy, float64(st.ExecTime)/1000, st.Checkpoints)
+		})
+		WriteStrategyMatrix(w, res)
+	}},
+}
+
+// Session is the state one report shares across its experiments: the
+// options, the applications, where per-cell progress lines go (nil
+// discards them), and the two sweeps several experiments read. Each sweep
+// runs at most once, on first use.
+type Session struct {
+	Options  Options
+	Apps     []App
+	Progress io.Writer
+
+	matrixRuns   []AppResult
+	recoveryRuns []RecoveryResult
+}
+
+// matrix returns the error-free matrix behind Figures 8-11, Table 4 and
+// the storage accounting.
+func (s *Session) matrix() []AppResult {
+	if s.matrixRuns == nil {
+		s.matrixRuns = RunErrorFree(s.Options, s.Apps, func(app string, v Variant, st *Stats) {
+			s.progressf("  %-10s %-8s exec=%8.1fus ckps=%d\n",
+				app, v, float64(st.ExecTime)/1000, st.Checkpoints)
+		})
+	}
+	return s.matrixRuns
+}
+
+// recovery returns the recovery study behind Figures 7 and 12.
+func (s *Session) recovery() []RecoveryResult {
+	if s.recoveryRuns == nil {
+		s.recoveryRuns = RunRecoveryStudy(s.Options, s.Apps, func(app string) {
+			s.progressf("  recovery: %s\n", app)
+		})
+	}
+	return s.recoveryRuns
+}
+
+func (s *Session) progressf(format string, args ...any) {
+	if s.Progress != nil {
+		fmt.Fprintf(s.Progress, format, args...)
+	}
+}
+
+// RunExperiments writes the named experiments to w in registry order, each
+// followed by a 78-dash divider. An unknown name fails the whole selection
+// before anything runs.
+func RunExperiments(w io.Writer, s *Session, names []string) error {
+	var known []string
+	for _, e := range Experiments {
+		known = append(known, e.Name)
+	}
+	for _, name := range names {
+		if !slices.Contains(known, name) {
+			return fmt.Errorf("unknown experiment %q (known: %s)", name, strings.Join(known, ", "))
+		}
+	}
+	for _, e := range Experiments {
+		if slices.Contains(names, e.Name) {
+			e.Write(w, s)
+			fmt.Fprintln(w, strings.Repeat("-", 78))
+		}
+	}
+	return nil
 }
 
 // Variant names one error-free configuration of Figure 8.
@@ -248,12 +376,13 @@ func RunRecoveryStudy(o Options, apps []App, progress func(app string)) []Recove
 	for i, app := range apps {
 		out[i].App = app.Label
 	}
+	kinds := [2]damage{nodeLoss, transient}
 	sweep.Run(o.parallelism(), 2*len(apps),
 		func(i int) Report {
-			return runOneRecovery(o, apps[i/2], i%2 == 0)
+			return runFigure12Protocol(o, apps[i/2], kinds[i%2])
 		},
 		func(i int, rep Report) {
-			if i%2 == 0 {
+			if kinds[i%2] == nodeLoss {
 				out[i/2].NodeLoss = rep
 				return
 			}
@@ -265,7 +394,20 @@ func RunRecoveryStudy(o Options, apps []App, progress func(app string)) []Recove
 	return out
 }
 
-func runOneRecovery(o Options, app App, loseNode bool) Report {
+// damage is the fault the Figure 12 protocol inflicts on its victim node.
+type damage int
+
+const (
+	nodeLoss   damage = iota // fail-stop: processor, caches and memory lost
+	cpuLoss                  // processor and caches die; memory, directory and log survive
+	memPartial               // a contiguous quarter of the victim's used frames lost
+	transient                // system-wide transient error; no memory lost
+)
+
+// runFigure12Protocol is the recovery protocol every fault study repeats:
+// run to the second checkpoint commit plus 80% of an interval, inflict the
+// damage on node 5, and roll back to epoch 1.
+func runFigure12Protocol(o Options, app App, kind damage) Report {
 	o.Verify = true
 	m := New(EvalConfig(o))
 	m.Load(app)
@@ -278,14 +420,24 @@ func runOneRecovery(o Options, app App, loseNode bool) Report {
 	m.Start()
 	m.Engine.RunWhile(func() bool { return commit2 < 0 })
 	if commit2 < 0 {
-		panic("revive: run too short for the recovery study")
+		panic("revive: run too short for the Figure 12 recovery protocol")
 	}
 	m.Engine.RunUntil(commit2 + m.Cfg.Checkpoint.Interval*8/10)
+	const victim = NodeID(5)
 	lost := NodeID(-1)
-	if loseNode {
-		lost = 5
-		m.InjectNodeLoss(lost)
-	} else {
+	switch kind {
+	case nodeLoss:
+		lost = victim
+		m.InjectNodeLoss(victim)
+	case cpuLoss:
+		m.InjectCPULoss(victim)
+	case memPartial:
+		// Lose the low quarter of the victim's used frames: a scoped
+		// fraction that scales with the workload's footprint, so the
+		// rebuilt/skipped split stays meaningful at every -scale.
+		frames := max(1, m.AMap.FramesUsed(victim)/4)
+		m.InjectMemPartialLoss(victim, 0, frames)
+	case transient:
 		m.InjectTransient()
 	}
 	rep, err := m.Recover(lost, 1)
@@ -607,11 +759,6 @@ func humanDuration(t sim.Time) string {
 	}
 }
 
-// Separator prints a section divider in experiment reports.
-func Separator(w io.Writer) {
-	fmt.Fprintln(w, strings.Repeat("-", 78))
-}
-
 // RunMissRates runs only the baseline configuration per application — the
 // fast calibration loop behind Table 4, one worker per app.
 func RunMissRates(o Options, apps []App) []AppResult {
@@ -673,12 +820,6 @@ type SplitDomainResult struct {
 	Partial   Report
 }
 
-const (
-	splitNodeLoss = iota
-	splitCPULoss
-	splitMemPartial
-)
-
 // RunSplitDomainStudy runs the E19 experiment: one application, three
 // damage kinds, across the given parity organizations. Each cell repeats
 // the Figure 12 protocol (run to the second checkpoint commit plus 80% of
@@ -695,15 +836,15 @@ func RunSplitDomainStudy(o Options, app App, groupSizes []int, progress func(gro
 		func(i int) Report {
 			oo := o
 			oo.GroupSize = groupSizes[i/3]
-			return runOneSplitDomain(oo, app, i%3)
+			return runFigure12Protocol(oo, app, damage(i%3))
 		},
 		func(i int, rep Report) {
-			switch i % 3 {
-			case splitNodeLoss:
+			switch damage(i % 3) {
+			case nodeLoss:
 				out[i/3].NodeLoss = rep
-			case splitCPULoss:
+			case cpuLoss:
 				out[i/3].CPULoss = rep
-			case splitMemPartial:
+			case memPartial:
 				out[i/3].Partial = rep
 				if progress != nil {
 					progress(groupSizes[i/3])
@@ -711,44 +852,6 @@ func RunSplitDomainStudy(o Options, app App, groupSizes []int, progress func(gro
 			}
 		})
 	return out
-}
-
-func runOneSplitDomain(o Options, app App, kind int) Report {
-	o.Verify = true
-	m := New(EvalConfig(o))
-	m.Load(app)
-	var commit2 sim.Time = -1
-	m.OnCheckpoint = func(e uint64) {
-		if e == 2 {
-			commit2 = m.Engine.Now()
-		}
-	}
-	m.Start()
-	m.Engine.RunWhile(func() bool { return commit2 < 0 })
-	if commit2 < 0 {
-		panic("revive: run too short for the split-domain study")
-	}
-	m.Engine.RunUntil(commit2 + m.Cfg.Checkpoint.Interval*8/10)
-	const victim = NodeID(5)
-	lost := NodeID(-1)
-	switch kind {
-	case splitNodeLoss:
-		lost = victim
-		m.InjectNodeLoss(victim)
-	case splitCPULoss:
-		m.InjectCPULoss(victim)
-	default:
-		// Lose the low quarter of the victim's used frames: a scoped
-		// fraction that scales with the workload's footprint, so the
-		// rebuilt/skipped split stays meaningful at every -scale.
-		frames := max(1, m.AMap.FramesUsed(victim)/4)
-		m.InjectMemPartialLoss(victim, 0, frames)
-	}
-	rep, err := m.Recover(lost, 1)
-	if err != nil {
-		panic(fmt.Sprintf("revive: split-domain study failed: %v", err))
-	}
-	return rep
 }
 
 // WriteE19 renders the split-fault-domain comparison: per parity

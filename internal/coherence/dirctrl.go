@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 
 	"revive/internal/arch"
 	"revive/internal/mem"
@@ -715,9 +716,17 @@ type EntryView struct {
 	Busy    bool
 }
 
-// ForEachEntry visits every materialized directory entry.
+// ForEachEntry visits every materialized directory entry in ascending line
+// order, so a check that stops at the first bad entry names the same one on
+// every call.
 func (d *DirCtrl) ForEachEntry(fn func(EntryView)) {
-	for line, e := range d.entries {
+	lines := make([]arch.LineAddr, 0, len(d.entries))
+	for line := range d.entries {
+		lines = append(lines, line)
+	}
+	slices.Sort(lines)
+	for _, line := range lines {
+		e := d.entries[line]
 		v := EntryView{Line: line, Owner: e.owner, Sharers: e.sharers, Busy: e.busy}
 		switch e.state {
 		case dirUncached:

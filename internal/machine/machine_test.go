@@ -2,10 +2,14 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"revive/internal/arch"
+	"revive/internal/cache"
+	"revive/internal/coherence"
 	"revive/internal/sim"
 	"revive/internal/workload"
 )
@@ -302,6 +306,58 @@ func TestCoherenceInvariantsBaseline(t *testing.T) {
 	m.Run()
 	if err := m.VerifyCoherence(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// VerifyCoherence names the same violation on every call on the same
+// state: with several bad lines at one home it reports the lowest, not
+// whichever line the directory's map yields first.
+func TestVerifyCoherenceReportsLowestBadLine(t *testing.T) {
+	m := New(smallConfig(true))
+	m.Load(testProfile(60000))
+	m.Run()
+	// Per home, the lines some node caches clean (Modified at neither level).
+	clean := make([][]arch.LineAddr, len(m.Dirs))
+	for home, d := range m.Dirs {
+		d.ForEachEntry(func(e coherence.EntryView) {
+			for _, cc := range m.Caches {
+				l1, l2 := cc.L1(), cc.L2()
+				s1, s2 := l1.Probe(e.Line), l2.Probe(e.Line)
+				if s2 != cache.NoSlot && l2.State(s2) != cache.Modified &&
+					(s1 == cache.NoSlot || l1.State(s1) != cache.Modified) {
+					clean[home] = append(clean[home], e.Line)
+					return
+				}
+			}
+		})
+	}
+	home := 0
+	for h := range clean {
+		if len(clean[h]) > len(clean[home]) {
+			home = h
+		}
+	}
+	bad := clean[home][:min(6, len(clean[home]))]
+	if len(bad) < 2 {
+		t.Fatalf("home %d caches %d lines clean; the check needs two", home, len(bad))
+	}
+	for _, line := range bad {
+		phys, _ := m.AMap.LookupLine(line)
+		d := m.Mems[phys.Node].Peek(phys.MemAddr())
+		d[0] ^= 0xff
+		m.Mems[phys.Node].Poke(phys.MemAddr(), d)
+	}
+	first := m.VerifyCoherence()
+	if first == nil {
+		t.Fatal("memory behind clean cached lines was corrupted, but VerifyCoherence passed")
+	}
+	if want := fmt.Sprintf("clean copy of %#x ", slices.Min(bad)); !strings.Contains(first.Error(), want) {
+		t.Fatalf("VerifyCoherence = %v, want the lowest bad line (%q)", first, want)
+	}
+	for i := 0; i < 20; i++ {
+		if err := m.VerifyCoherence(); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: VerifyCoherence = %v, first call said %v", i+2, err, first)
+		}
 	}
 }
 

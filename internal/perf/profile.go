@@ -1,3 +1,9 @@
+// Package perf holds the CLIs' offline profiling hook: revive-bench and
+// revive-sim take -cpuprofile/-memprofile and write standard pprof files
+// through StartProfiles. revive-serve started with -pprof additionally
+// mounts net/http/pprof under /debug/pprof/ for live CPU, heap, goroutine
+// and block profiles of the running daemon. Host-time measurement lives in
+// the standalone perfbench module.
 package perf
 
 import (
