@@ -11,7 +11,7 @@
 //	revive-chaos -campaigns 200 -seed 42 -j 8     # eight campaigns at a time
 //	revive-chaos -campaigns 200 -drop 0.01 -corrupt 0.001 -link-loss
 //	revive-chaos -campaigns 200 -cpu-loss -mem-partial    # split-domain sweep
-//	revive-chaos -campaigns 50 -strategy conelog  # full registry under another backend
+//	revive-chaos -campaigns 50 -strategy inline-log  # full registry under another backend
 //	revive-chaos -campaigns 10 -bug data-before-log -out fail.json
 //	revive-chaos -campaigns 10 -bug drop-ack      # transport-audit self-test
 //	revive-chaos -campaigns 10 -bug data-before-log -json  # machine-readable

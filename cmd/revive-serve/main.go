@@ -11,7 +11,7 @@
 //	revive-serve -addr :8329 -state-dir /var/lib/revive
 //
 //	curl -X POST localhost:8329/run -d '{"kind":"sim","apps":["fft"],"quick":true}'
-//	curl -X POST localhost:8329/run -d '{"kind":"sim","apps":["fft"],"strategy":"conelog"}'
+//	curl -X POST localhost:8329/run -d '{"kind":"sim","apps":["fft"],"strategy":"inline-log"}'
 //	curl -X POST localhost:8329/jobs -d '{"kind":"sweep","quick":true}'
 //	curl localhost:8329/jobs/<id>/result
 //	curl -N localhost:8329/jobs/<id>/events    # live progress (SSE)

@@ -1050,8 +1050,6 @@ func WriteStrategyMatrix(w io.Writer, results []StrategyResult) {
 	}
 	fmt.Fprintln(w, "Backends: revive is the paper's design point (eager out-of-line logging at")
 	fmt.Fprintln(w, "first write, distributed parity); inline-log folds small undo entries into")
-	fmt.Fprintln(w, "spare line capacity at write-back and skips eager logging (arXiv:1902.00660);")
-	fmt.Fprintln(w, "conelog logs identically to revive but scopes rollback to the dependence")
-	fmt.Fprintln(w, "cone of the failed nodes, falling back to a global rollback when the cone")
-	fmt.Fprintln(w, "escapes (arXiv:1806.01611). Identical baseline; overheads are comparable.")
+	fmt.Fprintln(w, "spare line capacity at write-back and skips eager logging (arXiv:1902.00660).")
+	fmt.Fprintln(w, "Identical baseline; overheads are comparable.")
 }

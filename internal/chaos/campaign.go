@@ -305,14 +305,12 @@ func (r *runner) escalate() bool {
 			return false
 		}
 		o.Recovered = true
-		if byteExact(rep) {
-			o.Checks++
-			if snap, ok := m.SnapshotAt(target); !ok {
-				o.violate("escalation", "byte-exact",
-					fmt.Sprintf("snapshot of target epoch %d missing after recovery", target))
-			} else if err := m.VerifyAgainstSnapshot(snap); err != nil {
-				o.violate("escalation", "byte-exact", err.Error())
-			}
+		o.Checks++
+		if snap, ok := m.SnapshotAt(target); !ok {
+			o.violate("escalation", "byte-exact",
+				fmt.Sprintf("snapshot of target epoch %d missing after recovery", target))
+		} else if err := m.VerifyAgainstSnapshot(snap); err != nil {
+			o.violate("escalation", "byte-exact", err.Error())
 		}
 		o.checkQuiescent(m, "escalation")
 		if o.Failed() {
@@ -602,14 +600,12 @@ func runSchedule(s Schedule, tr *trace.Tracer) *Outcome {
 			return o
 		}
 		o.Recovered = true
-		if byteExact(rep) {
-			o.Checks++
-			if snap, ok := m.SnapshotAt(o.Target); !ok {
-				o.violate("post-recovery", "byte-exact",
-					fmt.Sprintf("snapshot of target epoch %d missing after recovery", o.Target))
-			} else if err := m.VerifyAgainstSnapshot(snap); err != nil {
-				o.violate("post-recovery", "byte-exact", err.Error())
-			}
+		o.Checks++
+		if snap, ok := m.SnapshotAt(o.Target); !ok {
+			o.violate("post-recovery", "byte-exact",
+				fmt.Sprintf("snapshot of target epoch %d missing after recovery", o.Target))
+		} else if err := m.VerifyAgainstSnapshot(snap); err != nil {
+			o.violate("post-recovery", "byte-exact", err.Error())
 		}
 		// Split-domain reconstruction scope. A cpu-loss leaves every memory
 		// module and log intact, so a clean (single-fault) recovery must skip
@@ -655,17 +651,6 @@ func runSchedule(s Schedule, tr *trace.Tracer) *Outcome {
 		o.violate("recovery", "recovery", err.Error())
 	}
 	return o
-}
-
-// byteExact reports whether the byte-exact oracle applies to a recovery
-// report. A conelog recovery that rolled back only a dependence cone
-// legitimately leaves non-cone frames at their latest (post-checkpoint)
-// content, so comparing the whole machine against the checkpoint snapshot
-// would flag correct behavior. The rest of the registry (parity, log
-// markers, L-bits, coherence, transport) still runs unconditionally — see
-// DESIGN.md section 4f on what the cone backend does and does not promise.
-func byteExact(rep core.Report) bool {
-	return rep.ConeGlobal || rep.ConeNodes == 0
 }
 
 // isUnrecoverable matches the typed refusal for beyond-model damage.

@@ -50,13 +50,13 @@ func TestBrokenBuildCaughtUnderEveryStrategy(t *testing.T) {
 // so reproducers replay under the backend that found them.
 func TestScheduleStrategyRoundTrips(t *testing.T) {
 	s := Generate(99)
-	s.Strategy = "conelog"
+	s.Strategy = "inline-log"
 	if err := s.Validate(); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
 	out := RunSchedule(s)
 	if out == nil || out.Failed() {
-		t.Fatalf("conelog schedule did not run clean: %+v", out)
+		t.Fatalf("inline-log schedule did not run clean: %+v", out)
 	}
 	s.Strategy = "no-such-backend"
 	if err := s.Validate(); err == nil {

@@ -48,21 +48,6 @@ type Extension interface {
 	Write(line arch.LineAddr, phys arch.PhysLine, data arch.Data, ckp bool, ack, release func())
 }
 
-// FlowObserver watches the data-flow-relevant coherence transactions at a
-// line's home directory: who read a line, who declared intent to write
-// it. The conelog recovery strategy (package core) uses it to maintain
-// the per-epoch write-dependence cone that bounds a localized rollback.
-// A nil observer costs nothing. Calls arrive on the event loop, in the
-// order the homes accept the transactions.
-type FlowObserver interface {
-	// ObserveRead runs when the home accepts a read (GETS) for line from
-	// node req.
-	ObserveRead(req arch.NodeID, line arch.LineAddr)
-	// ObserveWrite runs when the home accepts a write intent (GETX or a
-	// successful upgrade) for line from node req.
-	ObserveWrite(req arch.NodeID, line arch.LineAddr)
-}
-
 // Tracker counts in-flight work machine-wide: cache-side misses, stores,
 // write-backs, home-side transactions and background parity updates. The
 // checkpoint algorithm's first barrier requires global quiescence

@@ -105,7 +105,6 @@ type DirCtrl struct {
 	st      *stats.Stats
 	tracker *Tracker
 	ext     Extension
-	flow    FlowObserver
 	caches  []*CacheCtrl
 	pipe    *sim.Resource
 	entries map[arch.LineAddr]*dirEntry
@@ -137,10 +136,6 @@ func (d *DirCtrl) SetCaches(caches []*CacheCtrl) { d.caches = caches }
 
 // SetExtension installs the ReVive hooks. nil is the baseline machine.
 func (d *DirCtrl) SetExtension(ext Extension) { d.ext = ext }
-
-// SetFlowObserver installs the data-flow observer (conelog's dependence
-// tracker). nil — the default — observes nothing.
-func (d *DirCtrl) SetFlowObserver(f FlowObserver) { d.flow = f }
 
 // Node returns the controller's node.
 func (d *DirCtrl) Node() arch.NodeID { return d.node }
@@ -401,10 +396,7 @@ func (t *txn) release() {
 }
 
 func (t *txn) gets() {
-	d, e := t.d, t.e
-	if d.flow != nil {
-		d.flow.ObserveRead(t.req, t.line)
-	}
+	e := t.e
 	switch e.state {
 	case dirUncached:
 		t.replyFromMemory(cacheFillExclusive, stepGrantExclusive)
@@ -420,10 +412,7 @@ func (t *txn) gets() {
 }
 
 func (t *txn) getx() {
-	d, e := t.d, t.e
-	if d.flow != nil {
-		d.flow.ObserveWrite(t.req, t.line)
-	}
+	e := t.e
 	switch e.state {
 	case dirUncached:
 		t.replyFromMemory(cacheFillModified, stepGrantWrite)
@@ -438,18 +427,13 @@ func (t *txn) getx() {
 }
 
 func (t *txn) upg() {
-	d, e := t.d, t.e
+	e := t.e
 	if e.state != dirShared || !e.sharers.Has(t.req) {
 		// The requester's shared copy is gone (invalidated by an
 		// earlier-serialized write): fall back to a full read-exclusive.
 		t.kind = reqGETX
 		t.getx()
 		return
-	}
-	if d.flow != nil {
-		// The fallback above reaches getx, which observes for itself;
-		// only the successful upgrade is recorded here.
-		d.flow.ObserveWrite(t.req, t.line)
 	}
 	t.invalidateSharers(e.sharers.CopyWithout(t.req))
 }

@@ -160,8 +160,7 @@ func NewController(engine *sim.Engine, node arch.NodeID, topo arch.Topology,
 
 // SetStrategy installs the machine's recovery-strategy backend. Call it
 // before any simulated traffic; the instance is shared by all of the
-// machine's controllers (conelog keeps machine-global dependence state
-// there).
+// machine's controllers.
 func (c *Controller) SetStrategy(s Strategy) { c.strategy = s }
 
 // Strategy returns the installed backend.

@@ -113,14 +113,6 @@ type Report struct {
 	DataPagesRebuilt int // phase 3, on demand (timing attribution)
 	BackgroundPages  int // phase 4
 
-	// Cone accounting (conelog strategy; zero elsewhere). ConeNodes is
-	// the size of the dependence cone the rollback was limited to;
-	// ConeGlobal marks a cone that escaped, forcing a global rollback.
-	// EntriesOutsideCone counts validated entries the scope let stand.
-	ConeNodes          int
-	ConeGlobal         bool
-	EntriesOutsideCone int
-
 	// Per-phase reconstruction scope under split fault domains.
 	// FramesReconstructed counts frames actually rebuilt from parity
 	// across all damaged nodes; FramesSkipped counts frames a full
@@ -173,38 +165,6 @@ type Recovery struct {
 	// checks for newly lost modules and returns an InterruptedError so
 	// the caller can re-validate and restart.
 	PhaseHook func(phase int)
-
-	// Scope, if set, restricts Phase 3 to a dependence cone (conelog
-	// strategy). nil — or a Scope with Global set — is the classic
-	// global rollback.
-	Scope *RecoveryScope
-}
-
-// RecoveryScope limits a rollback to the write-dependence cone of the
-// fault (conelog strategy, after Dichev et al., arXiv:1806.01611): only
-// log entries for lines whose post-checkpoint writers intersect the cone
-// are restored; everything else keeps its latest (provably unaffected)
-// content.
-type RecoveryScope struct {
-	// Cone lists the nodes inside the rollback cone, sorted by ID.
-	Cone []arch.NodeID
-	// Global marks a cone that escaped (grew past the pay-off bound) or
-	// a fault whose origin is unknown: roll back everything, exactly
-	// like the revive backend.
-	Global bool
-	// Restore reports whether a validated log entry for line must be
-	// restored. nil restores everything (ignored when Global is set).
-	Restore func(line arch.LineAddr) bool
-}
-
-// RecoveryPlanner is implemented by strategies that can scope a recovery
-// (conelog). The machine layer consults it after damage validation and
-// installs the resulting scope on the Recovery.
-type RecoveryPlanner interface {
-	// PlanRecovery derives the rollback scope for a fault at the given
-	// victim nodes (empty for a transient fault of unknown origin),
-	// rolling back to targetEpoch on a nodes-node machine.
-	PlanRecovery(victims []arch.NodeID, targetEpoch uint64, nodes int) *RecoveryScope
 }
 
 // checkPhase fires the phase hook and scans for damaged memory modules.
@@ -437,10 +397,6 @@ func (r *Recovery) Recover(damage []Damage, targetEpoch uint64) (Report, error) 
 	if len(damage) == 1 {
 		rep.LostNode = damage[0].Node
 	}
-	if r.Scope != nil {
-		rep.ConeNodes = len(r.Scope.Cone)
-		rep.ConeGlobal = r.Scope.Global
-	}
 	for _, d := range damage {
 		m := r.Mems[d.Node]
 		switch d.Kind {
@@ -622,10 +578,6 @@ func (r *Recovery) Recover(damage []Damage, targetEpoch uint64) (Report, error) 
 // vanish in this case).
 func (r *Recovery) Rollback(targetEpoch uint64) (Report, error) {
 	rep := Report{LostNode: -1, TargetEpoch: targetEpoch, Phase1: r.Cfg.HWRecovery}
-	if r.Scope != nil {
-		rep.ConeNodes = len(r.Scope.Cone)
-		rep.ConeGlobal = r.Scope.Global
-	}
 	if err := r.checkPhase(1, nil); err != nil {
 		return rep, err
 	}
@@ -659,7 +611,6 @@ func (r *Recovery) rollbackNode(node arch.NodeID, targetEpoch uint64, lost map[a
 	demand map[arch.NodeID]map[arch.Frame]bool, rep *Report, t, rb *sim.Time) error {
 	log := r.Ctrls[node].Log()
 	m := r.Mems[node]
-	scoped := r.Scope != nil && !r.Scope.Global && r.Scope.Restore != nil
 	var walkErr error
 	log.walkNewest(func(s slotAddr) bool {
 		hdr := decodeHeader(m.Peek(arch.PhysLine{Node: node, Frame: s.frame,
@@ -679,13 +630,6 @@ func (r *Recovery) rollbackNode(node arch.NodeID, targetEpoch uint64, lost map[a
 			walkErr = fmt.Errorf("core: node %d's log holds a validated entry for unmapped line %#x (log corrupt)",
 				node, hdr.line)
 			return false
-		}
-		if scoped && !r.Scope.Restore(hdr.line) {
-			// Every post-checkpoint writer of the line is outside the
-			// cone: its latest content is provably unaffected by the
-			// fault and stands as-is (no restore, no demand rebuild).
-			rep.EntriesOutsideCone++
-			return true
 		}
 		if lost[phys.Node] && demand[phys.Node] != nil && !demand[phys.Node][phys.Frame] {
 			// First restore into this lost page: the paper rebuilds

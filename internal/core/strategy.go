@@ -15,8 +15,7 @@ import (
 // in one head-to-head matrix (-strategy-matrix) and the chaos campaigns
 // can hammer each of them with the same invariant registry.
 //
-// A Strategy instance is shared by every Controller of one machine (it
-// may carry machine-global state, e.g. conelog's dependence tracker);
+// A Strategy instance is shared by every Controller of one machine;
 // each method receives the per-node Controller it is acting for. All
 // methods run inside the simulation's event loop under the same
 // scheduling rules as the Controller entry points they back.
@@ -53,11 +52,6 @@ type StrategyInfo struct {
 // sweeps) must see the same order on every run and at every parallelism.
 // Keep it sorted by Name; TestStrategyRegistrySorted pins the order.
 var strategyRegistry = []StrategyInfo{
-	{
-		Name:    "conelog",
-		Summary: "localized rollback: track the write-dependence cone per epoch, roll back only the cone (Dichev et al., arXiv:1806.01611)",
-		New:     func() Strategy { return newConeStrategy() },
-	},
 	{
 		Name:    "inline-log",
 		Summary: "in-cache-line logging: small undo entries ride the line write, overflowing to the classic log (Cohen et al., arXiv:1902.00660)",

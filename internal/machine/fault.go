@@ -361,17 +361,6 @@ func (m *Machine) recoverOnce(targetEpoch uint64) (core.Report, error) {
 		Cfg:       core.DefaultRecoveryConfig(1),
 		PhaseHook: m.OnRecoveryPhase,
 	}
-	if planner, ok := m.strategy.(core.RecoveryPlanner); ok {
-		// A scoping strategy (conelog) limits Phase 3 to the fault's
-		// dependence cone. The victims are the damaged nodes; a pure
-		// rollback (transient fault, no damage) has no known origin and
-		// the planner falls back to a global scope.
-		victims := make([]arch.NodeID, 0, len(damage))
-		for _, d := range damage {
-			victims = append(victims, d.Node)
-		}
-		rec.Scope = planner.PlanRecovery(victims, targetEpoch, m.Topo.Nodes)
-	}
 	if len(damage) > 0 {
 		return rec.Recover(damage, targetEpoch)
 	}

@@ -38,10 +38,9 @@ type Config struct {
 	DedicatedParity bool
 	Revive          bool // attach the ReVive directory-controller extension
 	// Strategy selects the recovery-strategy backend behind the
-	// controllers ("revive", "inline-log", "conelog"; empty =
-	// core.DefaultStrategy). Ignored when Revive is off. New panics on
-	// an unknown name — CLIs and the serving layer validate earlier via
-	// core.NewStrategy.
+	// controllers ("revive", "inline-log"; empty = core.DefaultStrategy).
+	// Ignored when Revive is off. New panics on an unknown name — CLIs
+	// and the serving layer validate earlier via core.NewStrategy.
 	Strategy   string
 	Checkpoint core.CheckpointConfig
 	Proc       proc.Config
@@ -128,10 +127,6 @@ type Machine struct {
 	Procs   []*proc.Proc
 	Ckpt    *core.CheckpointManager
 
-	// strategy is the machine-wide recovery-strategy backend instance
-	// shared by all controllers (nil on baseline machines).
-	strategy core.Strategy
-
 	finished  int
 	snapshots map[uint64]*Snapshot
 	devices   []*iodev.Device
@@ -207,7 +202,6 @@ func New(cfg Config) *Machine {
 		if err != nil {
 			panic(err)
 		}
-		m.strategy = strat
 		st.Strategy = strat.Name()
 		for n := 0; n < cfg.Nodes; n++ {
 			ctrl := core.NewController(engine, arch.NodeID(n), topo, amap,
@@ -217,13 +211,6 @@ func New(cfg Config) *Machine {
 			ctrl.DisableEagerLog = cfg.DisableEagerLog
 			m.Ctrls = append(m.Ctrls, ctrl)
 			m.Dirs[n].SetExtension(ctrl)
-		}
-		if fs, ok := strat.(interface {
-			FlowObserver() coherence.FlowObserver
-		}); ok {
-			for n := 0; n < cfg.Nodes; n++ {
-				m.Dirs[n].SetFlowObserver(fs.FlowObserver())
-			}
 		}
 		for n := 0; n < cfg.Nodes; n++ {
 			m.Ctrls[n].Wire(m.Ctrls)

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -221,6 +222,25 @@ func New(opts Options) (*Server, error) {
 	}
 	sortJobs(requeue)
 	for _, job := range requeue {
+		// A request journaled by an earlier build may no longer validate
+		// (it names a since-deleted backend, say): fail the job instead
+		// of running it. Canonicalize rewrites app names in place, so it
+		// checks a copy; the journaled request and the job ID stay as is.
+		req := job.req
+		req.Apps = slices.Clone(req.Apps)
+		if _, _, err := Canonicalize(req); err != nil {
+			if !job.terminal() {
+				close(job.done)
+			}
+			job.State, job.Err = "failed", err.Error()
+			s.counters.Failed++
+			if err := journal.Append(&Record{Op: "failed", Job: job.ID, Err: job.Err}); err != nil {
+				// Not fatal: the next recovery validates the request again.
+				opts.Log("serve: journaling the failure of job %.12s: %v", job.ID, err)
+			}
+			s.slogger().Warn("recovered job no longer validates", "job", job.ID, "error", job.Err)
+			continue
+		}
 		if !job.terminal() && job.State != "accepted" {
 			job.State = "accepted"
 		}

@@ -88,8 +88,8 @@ type Stats struct {
 	Schema int `json:"schema_version"`
 
 	// Strategy is the recovery-strategy backend the run used ("revive",
-	// "inline-log", "conelog"; empty on baseline machines without
-	// recovery support). machine.New stamps it.
+	// "inline-log"; empty on baseline machines without recovery
+	// support). machine.New stamps it.
 	Strategy string `json:"strategy,omitempty"`
 
 	// Per-processor progress.
@@ -188,9 +188,9 @@ type RecoveryRecord struct {
 // most importantly revive-serve's content-addressed result cache — never
 // serves a payload produced by a different shape of the code. Version 1
 // is retroactively the envelope before the version field existed;
-// version 2 added the field itself; version 3 added the strategy field
-// (and the cone/scope recovery accounting), so results produced under
-// different recovery-strategy backends can never alias in the cache.
+// version 2 added the field itself; version 3 added the strategy field,
+// so results produced under different recovery-strategy backends can
+// never alias in the cache.
 const SchemaVersion = 3
 
 // New returns a fresh Stats stamped with the current SchemaVersion.

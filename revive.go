@@ -151,8 +151,8 @@ type Options struct {
 	// Plank-style organization the paper argues against).
 	DedicatedParity bool
 	// Strategy selects the recovery-strategy backend ("revive",
-	// "inline-log", "conelog"; empty = the default "revive"). See
-	// core.Strategies for the registry and README "Recovery strategies".
+	// "inline-log"; empty = the default "revive"). See core.Strategies
+	// for the registry and README "Recovery strategies".
 	Strategy string
 	// Verify retains per-checkpoint snapshots (recovery experiments).
 	Verify bool
